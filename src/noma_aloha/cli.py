@@ -31,6 +31,7 @@ from .simulate import SimConfig, run_simulation
 __all__ = ["main", "ExperimentConfig", "ConfigError"]
 
 SWEEP_AXES = ("m", "tau1", "tau2", "gamma", "v1", "v2", "p_baseline")
+MAX_SWEEP_POINTS = 1_000_000
 
 
 class ConfigError(Exception):
@@ -371,11 +372,17 @@ def _sweep_values(cfg: ExperimentConfig):
         raise ConfigError(
             f"unknown sweep axis '{cfg.axis}' (valid axes: {', '.join(SWEEP_AXES)})"
         )
+    if not all(map(math.isfinite, (cfg.start, cfg.stop, cfg.step))):
+        raise ConfigError("sweep start, stop and step must be finite")
     if cfg.step <= 0:
         raise ConfigError("sweep step must be positive")
     if cfg.stop < cfg.start:
         raise ConfigError("sweep stop must not be smaller than start")
-    count = int(math.floor((cfg.stop - cfg.start) / cfg.step + 1e-9)) + 1
+    # count the points before building them: the quotient can be huge or inf
+    span = (cfg.stop - cfg.start) / cfg.step + 1e-9
+    if not span < MAX_SWEEP_POINTS:
+        raise ConfigError(f"sweep has more than {MAX_SWEEP_POINTS} points")
+    count = int(math.floor(span)) + 1
     values = [cfg.start + k * cfg.step for k in range(count)]
     if cfg.axis == "m":
         out = []

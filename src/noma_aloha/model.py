@@ -57,6 +57,8 @@ class Scenario:
     def __post_init__(self):
         if not isinstance(self.m, int) or self.m < 1:
             raise ValueError("m must be a positive integer")
+        if not all(map(math.isfinite, (self.v1, self.v2, self.gamma))):
+            raise ValueError("v1, v2 and gamma must be finite")
         if not self.v1 > self.v2 > 0.0:
             raise ValueError("power levels must satisfy v1 > v2 > 0")
         if not self.gamma > 0.0:
@@ -71,9 +73,10 @@ class PowerProfile:
     tau2: float
 
     def __post_init__(self):
-        if self.tau1 < 0.0 or self.tau2 < 0.0:
+        # negated comparisons, so NaN fails them too
+        if not (self.tau1 >= 0.0 and self.tau2 >= 0.0):
             raise ValueError("tau1 and tau2 must be nonnegative")
-        if self.tau1 + self.tau2 > 1.0:
+        if not self.tau1 + self.tau2 <= 1.0:
             raise ValueError("tau1 + tau2 must not exceed 1")
 
     @property

@@ -3,11 +3,15 @@
 Per slot, every user independently picks an action (idle / high / low); the
 receiver then runs sequential SIC over the slot.  Channel inversion makes
 every received power exactly v1 or v2, so decoding outcomes depend on the
-transmitter counts alone: the decoder is evaluated once per reachable count
-pair and looked up per slot, which keeps million-slot runs fast.
+transmitter counts alone: the decoder is evaluated once per count pair that
+can decode anything and looked up per slot.  Adding a transmitter never
+raises the first (weakest) SINR of a layer, so the table stops at the first
+pair of each row that decodes nothing and at the first row whose high layer
+fails on its own; every pair beyond decodes nothing.  Uniforms are drawn in
+chunks into buffers allocated once per run, and the optional per-slot trace
+is written in blocks of preformatted rows.
 """
 
-import csv
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -31,6 +35,7 @@ __all__ = [
 TRACE_HEADER = ("slot", "n1", "n2", "high_decoded", "low_decoded", "sum_rate")
 
 _CHUNK_SLOTS = 1 << 18
+_TRACE_BLOCK_ROWS = 4096
 
 
 class UserAction(Enum):
@@ -153,9 +158,16 @@ def sic_decode(s: Scenario, n1: int, n2: int) -> SlotOutcome:
     return SlotOutcome(n1, n2, high_decoded, low_decoded, sum_rate, per_user)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def _decode_tables(s: Scenario):
-    """Per-count-pair decoder outcomes: layer flags and decoded sum rate."""
+    """Per-count-pair decoder outcomes: layer flags and decoded sum rate.
+
+    Float rounding is monotone, so one more transmitter of either power can
+    only lower the first-signal SINR of each layer: once a pair other than
+    (0, 0) decodes nothing, so does every later pair of its row, and once
+    n1 >= 1 high-power signals fail alone, no larger n1 decodes anything.
+    Pairs never visited keep the all-zero outcome.
+    """
     size = s.m + 1
     high_ok = np.zeros((size, size), dtype=bool)
     low_ok = np.zeros((size, size), dtype=bool)
@@ -163,10 +175,22 @@ def _decode_tables(s: Scenario):
     for n1 in range(size):
         for n2 in range(size - n1):
             out = sic_decode(s, n1, n2)
+            if not (out.high_decoded or out.low_decoded) and n1 + n2 > 0:
+                break
             high_ok[n1, n2] = out.high_decoded
             low_ok[n1, n2] = out.low_decoded
             rate[n1, n2] = out.sum_rate
+        if n1 >= 1 and not high_ok[n1, 0]:
+            break
     return high_ok, low_ok, rate
+
+
+def _trace_suffix(tables, n1: int, n2: int) -> str:
+    """The "n1,n2,high_decoded,low_decoded,sum_rate" tail of a trace row."""
+    high_tab, low_tab, rate_tab = tables
+    high = "true" if high_tab[n1, n2] else "false"
+    low = "true" if low_tab[n1, n2] else "false"
+    return f"{n1},{n2},{high},{low},{format(float(rate_tab[n1, n2]), '.17g')}\n"
 
 
 def run_simulation(
@@ -185,19 +209,26 @@ def run_simulation(
     slot (slot index restarts at 0 in each replication; replications are
     written back to back).
     """
-    high_tab, low_tab, rate_tab = _decode_tables(s)
+    tables = _decode_tables(s)
+    high_tab, low_tab, rate_tab = tables
     t1 = prof.tau1
     t12 = prof.tau1 + prof.tau2
     p_reps = np.empty(cfg.replications)
     th_reps = np.empty(cfg.replications)
-    counts = np.zeros((s.m + 1) * (s.m + 1), dtype=np.int64)
+    pairs = (s.m + 1) * (s.m + 1)
+    counts = np.zeros(pairs, dtype=np.int64)
+    # one set of chunk buffers for the whole run; row slices of a C-ordered
+    # array stay contiguous, as Generator.random(out=) requires
+    rows = min(_CHUNK_SLOTS, cfg.slots)
+    u_buf = np.empty((rows, s.m))
+    high_buf = np.empty((rows, s.m), dtype=bool)
+    low_buf = np.empty((rows, s.m), dtype=bool)
 
     trace_file = None
-    writer = None
+    suffixes = {}
     if trace_path is not None:
         trace_file = open(trace_path, "w", encoding="utf-8", newline="")
-        writer = csv.writer(trace_file, lineterminator="\n")
-        writer.writerow(TRACE_HEADER)
+        trace_file.write(",".join(TRACE_HEADER) + "\n")
 
     try:
         for rep in range(cfg.replications):
@@ -207,9 +238,10 @@ def run_simulation(
             done = 0
             while done < cfg.slots:
                 n = min(_CHUNK_SLOTS, cfg.slots - done)
-                u = rng.random((n, s.m))
-                is_high = u < t1
-                is_low = ~is_high & (u < t12)
+                u = rng.random(out=u_buf[:n])
+                is_high = np.less(u, t1, out=high_buf[:n])
+                is_low = np.less(u, t12, out=low_buf[:n])
+                is_low ^= is_high  # t1 <= t12, so u < t1 implies u < t12
                 n1 = is_high.sum(axis=1)
                 n2 = is_low.sum(axis=1)
                 slot_high = high_tab[n1, n2]
@@ -224,19 +256,21 @@ def run_simulation(
                         np.sum(n1 * slot_high + n2 * slot_low)
                     ) / s.m
                 rate_total += float(slot_rate.sum())
-                counts += np.bincount(
-                    n1 * (s.m + 1) + n2, minlength=(s.m + 1) * (s.m + 1)
-                )
-                if writer is not None:
-                    for off in range(n):
-                        writer.writerow(
-                            (
-                                done + off,
-                                int(n1[off]),
-                                int(n2[off]),
-                                "true" if slot_high[off] else "false",
-                                "true" if slot_low[off] else "false",
-                                format(float(slot_rate[off]), ".17g"),
+                pair_index = n1 * (s.m + 1) + n2
+                chunk_counts = np.bincount(pair_index, minlength=pairs)
+                counts += chunk_counts
+                if trace_file is not None:
+                    for k in np.flatnonzero(chunk_counts).tolist():
+                        if k not in suffixes:
+                            suffixes[k] = _trace_suffix(tables, *divmod(k, s.m + 1))
+                    for lo in range(0, n, _TRACE_BLOCK_ROWS):
+                        keys = pair_index[lo : lo + _TRACE_BLOCK_ROWS].tolist()
+                        trace_file.write(
+                            "".join(
+                                [
+                                    f"{slot},{suffixes[k]}"
+                                    for slot, k in enumerate(keys, done + lo)
+                                ]
                             )
                         )
                 done += n

@@ -7,6 +7,7 @@ import math
 
 import pytest
 
+from noma_aloha import cli
 from noma_aloha.cli import main
 from noma_aloha.model import (
     PowerProfile,
@@ -90,6 +91,17 @@ class TestAnalyze:
         assert code == 2
         assert "must not exceed 1" in err
 
+    @pytest.mark.parametrize(
+        "args",
+        [["--tau1", "nan"], ["--tau2", "nan"], ["--tau1", "inf"], ["--v1", "inf"],
+         ["--gamma", "inf"]],
+    )
+    def test_non_finite_input_exits_2(self, args, capsys):
+        code, out, err = run_cli(["analyze", *args], capsys)
+        assert code == 2
+        assert out == ""
+        assert "config error" in err
+
     def test_csv_floats_carry_17_significant_digits(self, capsys):
         _, out, _ = run_cli(["analyze", "--tau1", "0.1", "--tau2", "0.1"], capsys)
         row = parse_csv(out)[0]
@@ -161,6 +173,12 @@ class TestSimulate:
         rec = json.loads(out)[0]
         assert rec["p_abs_delta"] == abs(rec["p_success_sim"] - rec["p_success_analytic"])
         assert rec["p_delta_over_stderr"] <= 4.0
+
+    def test_nan_profile_exits_2(self, capsys):
+        code, out, err = run_cli(["simulate", "--tau1", "nan", "--slots", "10"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "nonnegative" in err
 
     def test_slot_trace_file(self, tmp_path, capsys):
         path = tmp_path / "slots.csv"
@@ -257,6 +275,49 @@ class TestSweep:
         assert code == 2
         assert out == ""
         assert "sweep value" in err
+
+    @pytest.mark.parametrize("flag", ["--start", "--stop", "--step"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_range_exits_2(self, flag, value, capsys):
+        args = {"--start": "0", "--stop": "1", "--step": "0.5", flag: value}
+        code, out, err = run_cli(
+            ["sweep", "--axis", "gamma", *(x for kv in args.items() for x in kv)], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
+    def test_point_count_capped(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_SWEEP_POINTS", 10)
+        sweep = ["sweep", "--axis", "gamma", "--start", "1", "--step", "0.5"]
+        code, out, _ = run_cli([*sweep, "--stop", "5.5"], capsys)
+        assert code == 0
+        assert len(parse_csv(out)) == 10
+        code, out, err = run_cli([*sweep, "--stop", "6"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "more than 10 points" in err
+
+    @pytest.mark.parametrize(
+        "start, stop, step", [("0", "1e9", "1e-9"), ("0", "1e308", "1e-308")]
+    )
+    def test_huge_point_count_rejected_before_values_are_built(
+        self, start, stop, step, capsys, monkeypatch
+    ):
+        # ~1e18 and an infinite number of points: a missing check would try
+        # to build them, so fail instead of building
+        def bounded_range(*args):
+            assert max(args) <= cli.MAX_SWEEP_POINTS, "values built before the count check"
+            return range(*args)
+
+        monkeypatch.setattr(cli, "range", bounded_range, raising=False)
+        code, out, err = run_cli(
+            ["sweep", "--axis", "gamma", "--start", start, "--stop", stop, "--step", step],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert "points" in err
 
     def test_fractional_m_rejected(self, capsys):
         code, _, err = run_cli(

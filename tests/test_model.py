@@ -60,12 +60,18 @@ class TestTypes:
             Scenario(m=10, v1=1.0, v2=4.0, gamma=1.5)
         with pytest.raises(ValueError):
             Scenario(m=10, v1=4.0, v2=1.5, gamma=0.0)
+        for v1, v2, gamma in ((math.inf, 1.5, 1.5), (4.0, 1.5, math.inf), (4.0, 1.5, math.nan)):
+            with pytest.raises(ValueError):
+                Scenario(m=10, v1=v1, v2=v2, gamma=gamma)
 
     def test_profile_rejects_bad_fields(self):
         with pytest.raises(ValueError):
             PowerProfile(-0.1, 0.2)
         with pytest.raises(ValueError):
             PowerProfile(0.6, 0.5)
+        for tau1, tau2 in ((math.nan, 0.1), (0.1, math.nan), (math.inf, 0.0), (-math.inf, 0.5)):
+            with pytest.raises(ValueError):
+                PowerProfile(tau1, tau2)
 
     def test_profile_accepts_simplex_boundary(self):
         assert PowerProfile(0.0, 0.0).idle == 1.0

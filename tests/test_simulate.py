@@ -6,11 +6,15 @@ of the time.
 """
 
 import csv
+import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from noma_aloha import simulate
 from noma_aloha.model import (
     CountPair,
     PowerProfile,
@@ -20,11 +24,14 @@ from noma_aloha.model import (
     cond_sum_rate_low,
     decode_feasibility,
     joint_pmf,
+    sinr_high,
+    sinr_low,
     success_probability,
 )
 from noma_aloha.simulate import (
     ChannelModel,
     SimConfig,
+    SimStats,
     UserAction,
     run_simulation,
     sic_decode,
@@ -33,6 +40,84 @@ from noma_aloha.simulate import (
 from support import all_pairs, random_profile, random_scenario
 
 DEFAULTS = Scenario(m=10, v1=4.0, v2=1.5, gamma=1.5)
+WIDE = Scenario(m=10, v1=4.0, v2=1.5, gamma=0.3)
+
+
+def full_decode_tables(s):
+    """Reference decode tables: sic_decode on every count pair, no early exit."""
+    size = s.m + 1
+    high_ok = np.zeros((size, size), dtype=bool)
+    low_ok = np.zeros((size, size), dtype=bool)
+    rate = np.zeros((size, size))
+    for n1, n2 in all_pairs(s.m):
+        out = sic_decode(s, n1, n2)
+        high_ok[n1, n2] = out.high_decoded
+        low_ok[n1, n2] = out.low_decoded
+        rate[n1, n2] = out.sum_rate
+    return high_ok, low_ok, rate
+
+
+def assert_tables_match_full_grid(s):
+    got = simulate._decode_tables.__wrapped__(s)
+    for name, a, b in zip(("high_ok", "low_ok", "rate"), got, full_decode_tables(s)):
+        assert np.array_equal(a, b), (name, s)
+
+
+def chunked_reference(s, prof, cfg, chunk):
+    """The simulator's arithmetic with fresh arrays for every chunk of
+    ``chunk`` slots: what the reused buffers must reproduce bit for bit."""
+    high_tab, low_tab, rate_tab = full_decode_tables(s)
+    p_reps, th_reps = [], []
+    counts = np.zeros((s.m + 1, s.m + 1), dtype=np.int64)
+    for rep in range(cfg.replications):
+        rng = np.random.default_rng([cfg.seed, rep])
+        success_total = rate_total = 0.0
+        for done in range(0, cfg.slots, chunk):
+            u = rng.random((min(chunk, cfg.slots - done), s.m))
+            is_high = u < prof.tau1
+            is_low = ~is_high & (u < prof.tau1 + prof.tau2)
+            n1, n2 = is_high.sum(axis=1), is_low.sum(axis=1)
+            if cfg.success_estimator == "tagged":
+                success_total += np.count_nonzero(
+                    (is_high[:, 0] & high_tab[n1, n2]) | (is_low[:, 0] & low_tab[n1, n2])
+                )
+            else:
+                success_total += float(
+                    np.sum(n1 * high_tab[n1, n2] + n2 * low_tab[n1, n2])
+                ) / s.m
+            rate_total += float(rate_tab[n1, n2].sum())
+            np.add.at(counts, (n1, n2), 1)
+        p_reps.append(success_total / cfg.slots)
+        th_reps.append(rate_total / cfg.slots)
+    root_r = math.sqrt(cfg.replications)
+    stats = SimStats(
+        p_success_hat=float(np.mean(p_reps)),
+        throughput_hat=float(np.mean(th_reps)),
+        stderr_p=float(np.std(p_reps, ddof=1) / root_r),
+        stderr_th=float(np.std(th_reps, ddof=1) / root_r),
+        slots_run=cfg.slots * cfg.replications,
+    )
+    return stats, counts
+
+
+@st.composite
+def boundary_scenarios(draw):
+    """Scenarios whose gamma equals the first-signal SINR of some pair, so
+    the float comparison in the decoder sits exactly on its boundary."""
+    m = draw(st.integers(1, 25))
+    v1 = draw(st.floats(0.5, 20.0))
+    v2 = v1 * draw(st.floats(0.01, 0.99))
+    assume(v1 > v2 > 0.0)
+    n1 = draw(st.integers(0, m))
+    n2 = draw(st.integers(0, m - n1))
+    assume(n1 + n2 >= 1)
+    base = Scenario(m=m, v1=v1, v2=v2, gamma=1.0)
+    pair = CountPair(n1, n2)
+    if n1 >= 1 and (n2 == 0 or draw(st.booleans())):
+        gamma = sinr_high(base, 1, pair)
+    else:
+        gamma = sinr_low(base, 1, pair)
+    return Scenario(m=m, v1=v1, v2=v2, gamma=gamma)
 
 
 class TestTxPower:
@@ -135,6 +220,34 @@ class TestSicDecode:
                 assert out.sum_rate == pytest.approx(expected, rel=0, abs=1e-12)
 
 
+class TestDecodeTables:
+    def test_early_exit_matches_full_grid_on_random_scenarios(self):
+        rng = np.random.default_rng(404)
+        for _ in range(200):
+            assert_tables_match_full_grid(random_scenario(rng, m_max=30, gamma_lo=0.05))
+
+    @given(boundary_scenarios())
+    @settings(max_examples=200, deadline=None)
+    def test_early_exit_matches_full_grid_on_sinr_boundaries(self, s):
+        assert_tables_match_full_grid(s)
+
+    def test_wide_population_decodes_few_pairs(self, monkeypatch):
+        calls = []
+
+        def counted(s, n1, n2):
+            calls.append((n1, n2))
+            return sic_decode(s, n1, n2)
+
+        monkeypatch.setattr(simulate, "sic_decode", counted)
+        high_ok, low_ok, _ = simulate._decode_tables.__wrapped__(
+            Scenario(m=1000, v1=4.0, v2=1.5, gamma=1.3)
+        )
+        # (0,1), (1,0) and (1,1) decode; one failing pair ends each of the
+        # three rows visited
+        assert sorted(calls) == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 0)]
+        assert high_ok.sum() == 2 and low_ok.sum() == 2
+
+
 class TestSimConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -233,6 +346,21 @@ class TestRunSimulation:
         p = success_probability(DEFAULTS, prof)
         assert abs(stats.p_success_hat - p) <= 3.0 * stats.stderr_p
 
+    @pytest.mark.parametrize("estimator", ["tagged", "all-users"])
+    def test_reused_chunk_buffers_match_fresh_arrays(self, monkeypatch, estimator):
+        # 2 500 slots in chunks of 700: three full chunks and a short one, so
+        # the buffers are reused and sliced
+        cfg = SimConfig(slots=2_500, seed=41, replications=3, success_estimator=estimator)
+        prof = PowerProfile(0.2, 0.15)
+        monkeypatch.setattr(simulate, "_CHUNK_SLOTS", 700)
+        stats = run_simulation(WIDE, prof, cfg)
+        want, want_counts = chunked_reference(WIDE, prof, cfg, chunk=700)
+        assert stats == want
+        assert np.array_equal(stats.pair_counts, want_counts)
+        # chunking does not change the uniforms drawn
+        _, unchunked_counts = chunked_reference(WIDE, prof, cfg, chunk=cfg.slots)
+        assert np.array_equal(stats.pair_counts, unchunked_counts)
+
     def test_pair_counts_cover_all_slots(self):
         cfg = SimConfig(slots=7_500, seed=13, replications=2)
         stats = run_simulation(DEFAULTS, PowerProfile(0.3, 0.2), cfg)
@@ -275,3 +403,37 @@ class TestSlotTrace:
             assert float(r[5]) == pytest.approx(out.sum_rate, rel=1e-15, abs=1e-15)
             assert (r[3] == "true") == out.high_decoded
             assert (r[4] == "true") == out.low_decoded
+
+    def test_trace_bytes_match_csv_writer_across_chunks_and_blocks(
+        self, tmp_path, monkeypatch
+    ):
+        block = simulate._TRACE_BLOCK_ROWS
+        monkeypatch.setattr(simulate, "_CHUNK_SLOTS", 2 * block + 5)
+        cfg = SimConfig(slots=3 * block + 17, seed=31, replications=2)
+        prof = PowerProfile(0.2, 0.15)
+        path = tmp_path / "trace.csv"
+        run_simulation(WIDE, prof, cfg, trace_path=path)
+
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(("slot", "n1", "n2", "high_decoded", "low_decoded", "sum_rate"))
+        outcomes = {}
+        for rep in range(cfg.replications):
+            # one unchunked draw per replication
+            u = np.random.default_rng([cfg.seed, rep]).random((cfg.slots, WIDE.m))
+            n1s = (u < prof.tau1).sum(axis=1).tolist()
+            n2s = ((u >= prof.tau1) & (u < prof.tau1 + prof.tau2)).sum(axis=1).tolist()
+            for slot, pair in enumerate(zip(n1s, n2s)):
+                if pair not in outcomes:
+                    outcomes[pair] = sic_decode(WIDE, *pair)
+                out = outcomes[pair]
+                writer.writerow(
+                    (
+                        slot,
+                        *pair,
+                        "true" if out.high_decoded else "false",
+                        "true" if out.low_decoded else "false",
+                        format(out.sum_rate, ".17g"),
+                    )
+                )
+        assert path.read_bytes() == buf.getvalue().encode("utf-8")
