@@ -28,14 +28,11 @@ from .optimize import (
     maximize_over_tau2,
 )
 from .simulate import (
-    ChannelModel,
     SimConfig,
     SimStats,
     SlotOutcome,
-    UserAction,
     run_simulation,
     sic_decode,
-    tx_power_for,
 )
 
 __version__ = "0.1.0"
@@ -63,12 +60,9 @@ __all__ = [
     "maximize_over_tau2",
     "coordinate_ascent",
     "grid_search_oracle",
-    "UserAction",
-    "ChannelModel",
     "SlotOutcome",
     "SimConfig",
     "SimStats",
-    "tx_power_for",
     "sic_decode",
     "run_simulation",
 ]

@@ -12,7 +12,8 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
+import typing
+from dataclasses import Field, dataclass, fields, replace
 
 from .model import (
     CountPair,
@@ -59,25 +60,6 @@ class ExperimentConfig:
     output: str | None = None
 
 
-_FIELD_TYPES = {
-    "m": int,
-    "v1": float,
-    "v2": float,
-    "gamma": float,
-    "tau1": float,
-    "tau2": float,
-    "axis": str,
-    "start": float,
-    "stop": float,
-    "step": float,
-    "slots": int,
-    "seed": int,
-    "replications": int,
-    "format": str,
-    "output": str,
-}
-
-
 def _parse_config_file(path: str) -> dict:
     values = {}
     try:
@@ -95,27 +77,29 @@ def _parse_config_file(path: str) -> dict:
     return values
 
 
-def _convert(key: str, raw: str):
-    typ = _FIELD_TYPES[key]
+def _convert(f: Field, raw: str):
+    # an optional field ("float | None") converts to its one non-None type
+    typ = next((t for t in typing.get_args(f.type) if t is not type(None)), f.type)
     if typ is str:
         return raw
     try:
         return typ(raw)
     except ValueError:
         raise ConfigError(
-            f"config key '{key}' needs a value of type {typ.__name__}, got {raw!r}"
+            f"config key '{f.name}' needs a value of type {typ.__name__}, got {raw!r}"
         ) from None
 
 
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
     """Merge defaults, config file and command-line flags, in that order."""
     cfg = ExperimentConfig()
+    by_name = {f.name: f for f in fields(cfg)}
     if getattr(args, "config", None):
         for key, raw in _parse_config_file(args.config).items():
-            if key not in _FIELD_TYPES:
+            if key not in by_name:
                 raise ConfigError(f"unknown config key '{key}'")
-            setattr(cfg, key, _convert(key, raw))
-    for key in _FIELD_TYPES:
+            setattr(cfg, key, _convert(by_name[key], raw))
+    for key in by_name:
         val = getattr(args, key, None)
         if val is not None:
             setattr(cfg, key, val)
@@ -124,30 +108,31 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
     return cfg
 
 
-def _scenario(cfg: ExperimentConfig) -> Scenario:
+def _checked(build, **kwargs):
+    """``build(**kwargs)``, with the ValueError of its validation reported as
+    a configuration error."""
     try:
-        return Scenario(m=cfg.m, v1=cfg.v1, v2=cfg.v2, gamma=cfg.gamma)
+        return build(**kwargs)
     except ValueError as e:
         raise ConfigError(str(e)) from None
+
+
+def _scenario(cfg: ExperimentConfig) -> Scenario:
+    return _checked(Scenario, m=cfg.m, v1=cfg.v1, v2=cfg.v2, gamma=cfg.gamma)
 
 
 def _profile(cfg: ExperimentConfig) -> PowerProfile:
-    try:
-        return PowerProfile(tau1=cfg.tau1, tau2=cfg.tau2)
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
+    return _checked(PowerProfile, tau1=cfg.tau1, tau2=cfg.tau2)
 
 
 def _sim_config(cfg: ExperimentConfig, estimator: str) -> SimConfig:
-    try:
-        return SimConfig(
-            slots=cfg.slots,
-            seed=cfg.seed,
-            replications=cfg.replications,
-            success_estimator=estimator,
-        )
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
+    return _checked(
+        SimConfig,
+        slots=cfg.slots,
+        seed=cfg.seed,
+        replications=cfg.replications,
+        success_estimator=estimator,
+    )
 
 
 def _ascent_config(args: argparse.Namespace) -> AscentConfig:
@@ -164,10 +149,7 @@ def _ascent_config(args: argparse.Namespace) -> AscentConfig:
             kwargs[field_name] = val
     if getattr(args, "single_start", False):
         kwargs["dual_start"] = False
-    try:
-        return AscentConfig(**kwargs)
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
+    return _checked(AscentConfig, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -396,20 +378,12 @@ def _sweep_values(cfg: ExperimentConfig):
 
 
 def _sweep_point(cfg: ExperimentConfig, value):
-    over = {cfg.axis: value} if cfg.axis != "p_baseline" else {}
+    point = cfg if cfg.axis == "p_baseline" else replace(cfg, **{cfg.axis: value})
     try:
-        s = Scenario(
-            m=over.get("m", cfg.m),
-            v1=over.get("v1", cfg.v1),
-            v2=over.get("v2", cfg.v2),
-            gamma=over.get("gamma", cfg.gamma),
-        )
-        prof = PowerProfile(
-            tau1=over.get("tau1", cfg.tau1), tau2=over.get("tau2", cfg.tau2)
-        )
+        s, prof = _scenario(point), _profile(point)
         if cfg.axis == "p_baseline" and not 0.0 <= value <= 1.0:
-            raise ValueError("p must lie in [0, 1]")
-    except ValueError as e:
+            raise ConfigError("p must lie in [0, 1]")
+    except ConfigError as e:
         raise ConfigError(f"sweep value {value!r} for axis '{cfg.axis}': {e}") from None
     return s, prof
 

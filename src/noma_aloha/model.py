@@ -4,13 +4,15 @@
 transmits so that its received SNR at the access point is ``v1`` (probability
 ``tau1``) or ``v2`` (probability ``tau2``), or stays idle.  The receiver runs
 successive interference cancellation, strongest signals first; a signal is
-decoded when its SINR reaches the threshold ``gamma``.  Noise power is
-normalised to one, so ``v1`` and ``v2`` are received SNRs.  Rates are Shannon
-spectral efficiencies, log2(1 + SINR) bits per slot per unit bandwidth.
+decoded when its float SINR satisfies ``SINR >= gamma``, the one predicate
+behind the decodability flags, the region bounds and the slot decoder.  Noise
+power is normalised to one, so ``v1`` and ``v2`` are received SNRs.  Rates
+are Shannon spectral efficiencies, log2(1 + SINR) bits per slot per unit
+bandwidth.
 
-Everything here is a pure function of its arguments.  Per-scenario summation
-tables are cached, so repeated evaluation at many transmit probabilities (as
-the optimizer does) stays cheap.
+Everything here is a pure function of its arguments.  One summation table
+per scenario is cached (the last eight scenarios), so repeated evaluation at
+many transmit probabilities (as the optimizer does) stays cheap.
 """
 
 import math
@@ -18,7 +20,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import xlogy
 
 __all__ = [
     "Scenario",
@@ -152,39 +153,60 @@ def sinr_low(s: Scenario, j: int, pair: CountPair) -> float:
     return s.v2 / (s.v2 * (pair.n2 - j) + 1.0)
 
 
+def _high_ok(s: Scenario, n1: int, n2: int) -> bool:
+    """The high-layer half of the one decodability predicate: the first
+    (weakest) of n1 >= 1 high-power signals clears gamma."""
+    return n1 >= 1 and sinr_high(s, 1, CountPair(n1, n2)) >= s.gamma
+
+
+def _low_ok(s: Scenario, n1: int, n2: int) -> bool:
+    """The low-layer half: the first of n2 >= 1 low-power signals clears
+    gamma once the high layer is gone (n1 == 0 or decodable)."""
+    return (
+        n2 >= 1
+        and sinr_low(s, 1, CountPair(n1, n2)) >= s.gamma
+        and (n1 == 0 or _high_ok(s, n1, n2))
+    )
+
+
 def decode_feasibility(s: Scenario, pair: CountPair) -> DecodeFlags:
     """Layer decodability straight from the SINR threshold inequalities.
 
     The SINR of successive signals within a layer only grows as earlier ones
     are cancelled, so a layer decodes fully iff its first signal does.  The
-    low layer additionally needs the high layer gone (n1 == 0 or decodable).
+    comparison is the float ``SINR >= gamma`` that the slot decoder uses, so
+    a gamma equal to an SINR value decodes.
     """
     _check_pair(s, pair)
-    high_ok = pair.n1 >= 1 and sinr_high(s, 1, pair) >= s.gamma
-    low_ok = (
-        pair.n2 >= 1
-        and sinr_low(s, 1, pair) >= s.gamma
-        and (pair.n1 == 0 or high_ok)
-    )
-    return DecodeFlags(high_ok=high_ok, low_ok=low_ok)
+    return DecodeFlags(_high_ok(s, pair.n1, pair.n2), _low_ok(s, pair.n1, pair.n2))
 
 
-@lru_cache(maxsize=None)
+def _count_up(ok, start: int, stop: int) -> int:
+    """Largest k in start..stop with ok(start), ..., ok(k), or start - 1."""
+    k = start
+    while k <= stop and ok(k):
+        k += 1
+    return k - 1
+
+
+@lru_cache(maxsize=8)
 def region_bounds(s: Scenario) -> RegionBounds:
-    """Closed-form decodability bounds, used as summation limits.
+    """Decodability bounds, used as summation limits.
 
-    Rearranging the first-signal SINR inequalities gives integer caps via
-    floors; each cap is clamped at zero and by the population size.
+    Each cap counts up until the decodability predicate fails.  One more
+    transmitter of either power never raises a first-signal SINR (float
+    rounding is monotone), so every larger count fails too and the caps
+    agree with ``decode_feasibility`` on every pair.
     """
-    m, v1, v2, g = s.m, s.v1, s.v2, s.gamma
-    high_max = min(m, max(0, math.floor((v1 - g) / (v1 * g)) + 1))
+    m = s.m
+    high_max = _count_up(lambda n1: _high_ok(s, n1, 0), 1, m)
     low_given_high = tuple(
-        min(m - n1, max(0, math.floor((v1 - g * (n1 - 1) * v1 - g) / (v2 * g))))
+        _count_up(lambda n2: _high_ok(s, n1, n2), 0, m - n1)
         for n1 in range(1, high_max + 1)
     )
-    low_max = min(m, max(0, math.floor((v2 - g) / (v2 * g)) + 1))
+    low_max = _count_up(lambda n2: _low_ok(s, 0, n2), 1, m)
     high_given_low = tuple(
-        min(m - n2, max(0, math.floor((v1 - g * n2 * v2 - g) / (v1 * g)) + 1))
+        _count_up(lambda n1: _low_ok(s, n1, n2), 0, m - n2)
         for n2 in range(1, low_max + 1)
     )
     return RegionBounds(high_max, low_given_high, low_max, high_given_low)
@@ -217,71 +239,60 @@ def joint_pmf(s: Scenario, prof: PowerProfile, pair: CountPair) -> float:
     return math.exp(log_p)
 
 
-def _pmf_vector(m: int, n1, n2, log_coef, prof: PowerProfile):
-    """Trinomial masses for index arrays (n1, n2) over m users."""
-    n0 = m - n1 - n2
-    log_p = log_coef + xlogy(n1, prof.tau1) + xlogy(n2, prof.tau2) + xlogy(n0, prof.idle)
-    return np.exp(log_p)
+def _xlogy(n, t: float):
+    """n * log(t) for a count array n, with 0 * log(0) taken as 0."""
+    if t == 0.0:
+        return np.where(n == 0, 0.0, -np.inf)
+    return n * math.log(t)
 
 
-@lru_cache(maxsize=None)
-def _decodable_pairs(s: Scenario):
-    """Count pairs of each decodable region, in ascending scan order."""
+@lru_cache(maxsize=8)
+def _terms(s: Scenario):
+    """The per-scenario summation table over the m users.
+
+    One row per (decodable count pair, layer): the high region first, then
+    the low region, each in ascending scan order.  Columns are n1, n2, the
+    log trinomial coefficient, the conditional layer rate and the users the
+    layer decodes (n1 on high rows, n2 on low rows).
+    """
     b = region_bounds(s)
-    high = tuple(
-        (n1, n2)
+    rows = [
+        (n1, n2, cond_sum_rate_high(s, CountPair(n1, n2)), n1)
         for n1 in range(1, b.high_max + 1)
         for n2 in range(b.low_max_given_high[n1 - 1] + 1)
-    )
-    low = tuple(
-        (n1, n2)
+    ]
+    rows += [
+        (n1, n2, cond_sum_rate_low(s, CountPair(n1, n2)), n2)
         for n2 in range(1, b.low_max + 1)
         for n1 in range(b.high_max_given_low[n2 - 1] + 1)
-    )
-    return high, low
-
-
-@lru_cache(maxsize=None)
-def _throughput_terms(s: Scenario):
-    """Per-pair (n1, n2, log coefficient, conditional sum rate) arrays."""
-    high, low = _decodable_pairs(s)
-    rows = [(n1, n2, cond_sum_rate_high(s, CountPair(n1, n2))) for n1, n2 in high]
-    rows += [(n1, n2, cond_sum_rate_low(s, CountPair(n1, n2))) for n1, n2 in low]
+    ]
     n1 = np.array([r[0] for r in rows], dtype=np.int64)
     n2 = np.array([r[1] for r in rows], dtype=np.int64)
+    log_coef = np.array([_log_trinomial_coef(s.m, r[0], r[1]) for r in rows])
     rate = np.array([r[2] for r in rows])
-    log_coef = np.array([_log_trinomial_coef(s.m, a, b) for a, b in zip(n1, n2)])
-    return n1, n2, log_coef, rate
+    decoded_users = np.array([r[3] for r in rows], dtype=np.int64)
+    return n1, n2, log_coef, rate, decoded_users
 
 
-@lru_cache(maxsize=None)
-def _success_terms(s: Scenario):
-    """Index arrays over the m-1 other users for each decodable outcome.
-
-    A user that transmitted high sees the remaining population contribute
-    (n1 - 1, n2); one that transmitted low sees (n1, n2 - 1).
-    """
-    high, low = _decodable_pairs(s)
-    hn1 = np.array([n1 - 1 for n1, _ in high], dtype=np.int64)
-    hn2 = np.array([n2 for _, n2 in high], dtype=np.int64)
-    hcoef = np.array([_log_trinomial_coef(s.m - 1, a, b) for a, b in zip(hn1, hn2)])
-    ln1 = np.array([n1 for n1, _ in low], dtype=np.int64)
-    ln2 = np.array([n2 - 1 for _, n2 in low], dtype=np.int64)
-    lcoef = np.array([_log_trinomial_coef(s.m - 1, a, b) for a, b in zip(ln1, ln2)])
-    return (hn1, hn2, hcoef), (ln1, ln2, lcoef)
+def _pmf(s: Scenario, prof: PowerProfile, n1, n2, log_coef):
+    """Trinomial masses of the count arrays (n1, n2) over the m users."""
+    log_p = (
+        log_coef
+        + _xlogy(n1, prof.tau1)
+        + _xlogy(n2, prof.tau2)
+        + _xlogy(s.m - n1 - n2, prof.idle)
+    )
+    return np.exp(log_p)
 
 
 def success_probability(s: Scenario, prof: PowerProfile) -> float:
     """Probability that a given user transmits and its signal is decoded.
 
-    Total probability over the power choice of the user, with the other m-1
-    users' counts summed over the region that keeps the chosen layer
-    decodable.
+    Users are exchangeable, so this is the expected number of decoded users
+    per slot divided by m, summed over the same table as the throughput.
     """
-    (hn1, hn2, hcoef), (ln1, ln2, lcoef) = _success_terms(s)
-    p_high = np.sum(_pmf_vector(s.m - 1, hn1, hn2, hcoef, prof))
-    p_low = np.sum(_pmf_vector(s.m - 1, ln1, ln2, lcoef, prof))
-    return float(prof.tau1 * p_high + prof.tau2 * p_low)
+    n1, n2, log_coef, _, decoded_users = _terms(s)
+    return float(np.sum(decoded_users * _pmf(s, prof, n1, n2, log_coef)) / s.m)
 
 
 def cond_sum_rate_high(s: Scenario, pair: CountPair) -> float:
@@ -324,9 +335,8 @@ def average_throughput(s: Scenario, prof: PowerProfile) -> float:
     low layer then fails; the low layer's region already requires the high
     layer decoded.
     """
-    n1, n2, log_coef, rate = _throughput_terms(s)
-    pmf = _pmf_vector(s.m, n1, n2, log_coef, prof)
-    return float(np.sum(rate * pmf))
+    n1, n2, log_coef, rate, _ = _terms(s)
+    return float(np.sum(rate * _pmf(s, prof, n1, n2, log_coef)))
 
 
 def baseline_success(s: Scenario, p: float) -> float:

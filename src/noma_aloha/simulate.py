@@ -14,7 +14,6 @@ is written in blocks of preformatted rows.
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import lru_cache
 
 import numpy as np
@@ -22,12 +21,9 @@ import numpy as np
 from .model import CountPair, PowerProfile, Scenario, sinr_high, sinr_low
 
 __all__ = [
-    "UserAction",
-    "ChannelModel",
     "SlotOutcome",
     "SimConfig",
     "SimStats",
-    "tx_power_for",
     "sic_decode",
     "run_simulation",
 ]
@@ -36,41 +32,6 @@ TRACE_HEADER = ("slot", "n1", "n2", "high_decoded", "low_decoded", "sum_rate")
 
 _CHUNK_SLOTS = 1 << 18
 _TRACE_BLOCK_ROWS = 4096
-
-
-class UserAction(Enum):
-    IDLE = 0
-    HIGH = 1
-    LOW = 2
-
-
-def _rayleigh_power(rng: np.random.Generator, count: int) -> np.ndarray:
-    # |h|^2 of unit-mean Rayleigh fading
-    return rng.exponential(1.0, count)
-
-
-@dataclass(frozen=True)
-class ChannelModel:
-    """Disk deployment with distance path loss and per-user fading draws.
-
-    Only used to exercise channel inversion: the decoder itself consumes the
-    received power targets v1/v2 directly.  ``fading`` samples positive
-    |h|^2 values, one per user; the default is unit-mean Rayleigh power.
-    """
-
-    radius_R: float = 100.0
-    L0: float = 1.0
-    alpha: float = 3.5
-    fading: object = _rayleigh_power
-
-    def __post_init__(self):
-        if self.radius_R <= 0 or self.L0 <= 0 or self.alpha <= 0:
-            raise ValueError("radius_R, L0 and alpha must be positive")
-
-    def sample_gains(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """Channel gains g_n = L0 * r^(-alpha) * |h|^2 for users uniform on the disk."""
-        radii = self.radius_R * np.sqrt(1.0 - rng.random(count))  # (0, R]
-        return self.L0 * radii**-self.alpha * self.fading(rng, count)
 
 
 @dataclass(frozen=True)
@@ -114,17 +75,6 @@ class SimStats:
     stderr_th: float
     slots_run: int
     pair_counts: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-
-def tx_power_for(level: UserAction, g_n: float, s: Scenario) -> float:
-    """Transmit power inverting the channel so the received power hits its target."""
-    if not g_n > 0.0:
-        raise ValueError("channel gain must be positive")
-    if level is UserAction.HIGH:
-        return s.v1 / g_n
-    if level is UserAction.LOW:
-        return s.v2 / g_n
-    raise ValueError("idle users transmit no power")
 
 
 def sic_decode(s: Scenario, n1: int, n2: int) -> SlotOutcome:

@@ -1,8 +1,12 @@
 """Shared test oracles: direct enumerations kept independent of the library's
-closed-form summation paths (exact combinatorics, feasibility by inequality)."""
+closed-form summation paths (exact combinatorics, feasibility by inequality),
+and the random and SINR-boundary scenarios they are checked on."""
 
 import math
 from math import comb
+
+from hypothesis import assume
+from hypothesis import strategies as st
 
 from noma_aloha.model import (
     CountPair,
@@ -77,6 +81,26 @@ def near_threshold(s, tol=1e-9):
         if n2 >= 1 and abs(sinr_low(s, 1, pair) - s.gamma) < tol:
             return True
     return False
+
+
+@st.composite
+def boundary_scenarios(draw):
+    """Scenarios whose gamma equals the first-signal SINR of some pair, so
+    the float comparison in the decoder sits exactly on its boundary."""
+    m = draw(st.integers(1, 25))
+    v1 = draw(st.floats(0.5, 20.0))
+    v2 = v1 * draw(st.floats(0.01, 0.99))
+    assume(v1 > v2 > 0.0)
+    n1 = draw(st.integers(0, m))
+    n2 = draw(st.integers(0, m - n1))
+    assume(n1 + n2 >= 1)
+    base = Scenario(m=m, v1=v1, v2=v2, gamma=1.0)
+    pair = CountPair(n1, n2)
+    if n1 >= 1 and (n2 == 0 or draw(st.booleans())):
+        gamma = sinr_high(base, 1, pair)
+    else:
+        gamma = sinr_low(base, 1, pair)
+    return Scenario(m=m, v1=v1, v2=v2, gamma=gamma)
 
 
 def random_scenario(rng, m_max=20, v1_lo=1.0, v1_hi=20.0, gamma_lo=0.1, gamma_hi=5.0):

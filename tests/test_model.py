@@ -1,11 +1,16 @@
 """Unit and property tests for the closed-form performance model."""
 
 import math
+import os
+import subprocess
+import sys
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from noma_aloha import model
+from noma_aloha.cli import main
 from noma_aloha.model import (
     CountPair,
     PowerProfile,
@@ -24,6 +29,7 @@ from noma_aloha.model import (
 )
 from support import (
     all_pairs,
+    boundary_scenarios,
     brute_force_success,
     brute_force_throughput,
     near_threshold,
@@ -178,6 +184,27 @@ class TestFeasibility:
                     assert decode_feasibility(s, CountPair(n1, n2 - 1)).low_ok
                 if n1 >= 1:
                     assert decode_feasibility(s, CountPair(n1 - 1, n2)).low_ok
+
+
+class TestSinrBoundaries:
+    @given(boundary_scenarios(), profiles())
+    # 0.5 / (0.5 * 3 + 1) == 0.2 in floats, so four low users decode
+    @example(Scenario(m=10, v1=2.0, v2=0.5, gamma=0.2), PowerProfile(0.1, 0.3))
+    @settings(max_examples=150, deadline=None)
+    def test_bounds_and_sums_match_brute_force(self, s, prof):
+        """gamma equal to a float SINR: that signal decodes, and the bounds,
+        the flags and both sums follow the same float comparison."""
+        b = region_bounds(s)
+        for n1, n2 in all_pairs(s.m):
+            flags = decode_feasibility(s, CountPair(n1, n2))
+            assert b.in_high_region(n1, n2) == flags.high_ok, (n1, n2)
+            assert b.in_low_region(n1, n2) == flags.low_ok, (n1, n2)
+        assert average_throughput(s, prof) == pytest.approx(
+            brute_force_throughput(s, prof), rel=0, abs=1e-12
+        )
+        assert success_probability(s, prof) == pytest.approx(
+            brute_force_success(s, prof), rel=0, abs=1e-12
+        )
 
 
 class TestJointPmf:
@@ -338,3 +365,28 @@ class TestBaseline:
         p_star, th_star = baseline_optimum(Scenario(2, 4.0, 1.5, 1.5))
         assert p_star == 0.5
         assert th_star == pytest.approx(math.log2(5.0) * 0.25, rel=1e-12)
+
+
+class TestCachesAndImports:
+    def test_gamma_sweep_keeps_model_caches_bounded(self, capsys):
+        model.region_bounds.cache_clear()
+        model._terms.cache_clear()
+        sweep = ["sweep", "--axis", "gamma", "--start", "0.1", "--stop", "2", "--step", "0.1"]
+        assert main([*sweep, "--tau1", "0.1", "--tau2", "0.1"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 21
+        for table in (model.region_bounds, model._terms):
+            info = table.cache_info()
+            assert info.misses == 20 and info.currsize <= 8, info
+
+    def test_cli_import_loads_no_scipy(self):
+        src = os.path.dirname(os.path.dirname(model.__file__))
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        code = "import sys, noma_aloha.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        assert out == "[]\n"

@@ -1,4 +1,4 @@
-"""Tests for the SIC decoder, channel inversion and the Monte Carlo engine.
+"""Tests for the SIC decoder and the Monte Carlo engine.
 
 The statistical checks run against fixed seeds, so the suite is deterministic;
 under a fresh seed each 3-sigma comparison would fail spuriously about 0.3%
@@ -11,8 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
+from hypothesis import given, settings
 
 from noma_aloha import simulate
 from noma_aloha.model import (
@@ -24,20 +23,10 @@ from noma_aloha.model import (
     cond_sum_rate_low,
     decode_feasibility,
     joint_pmf,
-    sinr_high,
-    sinr_low,
     success_probability,
 )
-from noma_aloha.simulate import (
-    ChannelModel,
-    SimConfig,
-    SimStats,
-    UserAction,
-    run_simulation,
-    sic_decode,
-    tx_power_for,
-)
-from support import all_pairs, random_profile, random_scenario
+from noma_aloha.simulate import SimConfig, SimStats, run_simulation, sic_decode
+from support import all_pairs, boundary_scenarios, random_profile, random_scenario
 
 DEFAULTS = Scenario(m=10, v1=4.0, v2=1.5, gamma=1.5)
 WIDE = Scenario(m=10, v1=4.0, v2=1.5, gamma=0.3)
@@ -98,66 +87,6 @@ def chunked_reference(s, prof, cfg, chunk):
         slots_run=cfg.slots * cfg.replications,
     )
     return stats, counts
-
-
-@st.composite
-def boundary_scenarios(draw):
-    """Scenarios whose gamma equals the first-signal SINR of some pair, so
-    the float comparison in the decoder sits exactly on its boundary."""
-    m = draw(st.integers(1, 25))
-    v1 = draw(st.floats(0.5, 20.0))
-    v2 = v1 * draw(st.floats(0.01, 0.99))
-    assume(v1 > v2 > 0.0)
-    n1 = draw(st.integers(0, m))
-    n2 = draw(st.integers(0, m - n1))
-    assume(n1 + n2 >= 1)
-    base = Scenario(m=m, v1=v1, v2=v2, gamma=1.0)
-    pair = CountPair(n1, n2)
-    if n1 >= 1 and (n2 == 0 or draw(st.booleans())):
-        gamma = sinr_high(base, 1, pair)
-    else:
-        gamma = sinr_low(base, 1, pair)
-    return Scenario(m=m, v1=v1, v2=v2, gamma=gamma)
-
-
-class TestTxPower:
-    def test_inversion_examples(self):
-        assert tx_power_for(UserAction.HIGH, 2.0, DEFAULTS) == 2.0
-        assert tx_power_for(UserAction.LOW, 0.5, DEFAULTS) == 3.0
-        assert tx_power_for(UserAction.HIGH, 1.0, DEFAULTS) == 4.0
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            tx_power_for(UserAction.HIGH, 0.0, DEFAULTS)
-        with pytest.raises(ValueError):
-            tx_power_for(UserAction.HIGH, -1.0, DEFAULTS)
-        with pytest.raises(ValueError):
-            tx_power_for(UserAction.IDLE, 1.0, DEFAULTS)
-
-    def test_channel_model_accepts_custom_fading(self):
-        channel = ChannelModel(radius_R=50.0, L0=1.0, alpha=2.0,
-                               fading=lambda rng, n: np.full(n, 2.0))
-        gains = channel.sample_gains(np.random.default_rng(0), 8)
-        assert gains.shape == (8,)
-        assert (gains > 0).all()
-        # r <= R and |h|^2 = 2 bound the gain below by 2 * L0 * R^-alpha
-        assert (gains >= 2.0 * 50.0**-2.0).all()
-
-    def test_channel_model_validates_fields(self):
-        with pytest.raises(ValueError):
-            ChannelModel(radius_R=0.0)
-        with pytest.raises(ValueError):
-            ChannelModel(alpha=-1.0)
-
-    def test_received_power_reconstructs_target_within_one_ulp(self):
-        rng = np.random.default_rng(42)
-        channel = ChannelModel(radius_R=250.0, L0=1e-3, alpha=3.5)
-        gains = channel.sample_gains(rng, 500)
-        for g in gains:
-            g = float(g)
-            for level, target in ((UserAction.HIGH, DEFAULTS.v1), (UserAction.LOW, DEFAULTS.v2)):
-                received = tx_power_for(level, g, DEFAULTS) * g
-                assert abs(received - target) <= math.ulp(target)
 
 
 class TestSicDecode:
