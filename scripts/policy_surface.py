@@ -10,7 +10,9 @@ import argparse
 import csv
 import pathlib
 
-from noma_aloha.model import PowerProfile, Scenario, average_throughput, success_probability
+import numpy as np
+
+from noma_aloha.model import Scenario, _evaluate
 
 
 def main():
@@ -35,20 +37,21 @@ def main():
         writer.writerow(["tau1", "tau2", "p_success", "th_avg"])
         i = 0
         while (tau1 := i * args.step) <= 1.0:
-            j = 0
-            while tau1 + (tau2 := j * args.step) <= 1.0:
-                prof = PowerProfile(tau1, tau2)
-                p = success_probability(s, prof)
-                th = average_throughput(s, prof)
-                writer.writerow(
-                    [format(x, ".17g") for x in (tau1, tau2, p, th)]
-                )
-                rows += 1
-                if p > best_p[0]:
-                    best_p = (p, tau1, tau2)
-                if th > best_th[0]:
-                    best_th = (th, tau1, tau2)
-                j += 1
+            # one row of the grid: j*step for j = 0, 1, ... while tau1 + tau2 <= 1
+            tau2 = np.arange(int((1.0 - tau1) / args.step) + 3) * args.step
+            tau2 = tau2[tau1 + tau2 <= 1.0]
+            th, p = _evaluate(s, tau1, tau2)
+            writer.writerows(
+                [format(x, ".17g") for x in (tau1, *rest)]
+                for rest in zip(tau2.tolist(), p.tolist(), th.tolist())
+            )
+            rows += tau2.size
+            j = int(np.argmax(p))
+            if p[j] > best_p[0]:
+                best_p = (float(p[j]), tau1, float(tau2[j]))
+            j = int(np.argmax(th))
+            if th[j] > best_th[0]:
+                best_th = (float(th[j]), tau1, float(tau2[j]))
             i += 1
     print(f"wrote {path} ({rows} grid points)")
     print(f"success peaks at tau1={best_p[1]:.2f} tau2={best_p[2]:.2f} (p={best_p[0]:.4f})")

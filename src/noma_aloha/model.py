@@ -11,8 +11,9 @@ are Shannon spectral efficiencies, log2(1 + SINR) bits per slot per unit
 bandwidth.
 
 Everything here is a pure function of its arguments.  One summation table
-per scenario is cached (the last eight scenarios), so repeated evaluation at
-many transmit probabilities (as the optimizer does) stays cheap.
+per scenario is cached (the last eight scenarios), and one kernel evaluates a
+whole batch of transmit probabilities over it, so the optimizer's scans stay
+cheap.
 """
 
 import math
@@ -239,21 +240,25 @@ def joint_pmf(s: Scenario, prof: PowerProfile, pair: CountPair) -> float:
     return math.exp(log_p)
 
 
-def _xlogy(n, t: float):
-    """n * log(t) for a count array n, with 0 * log(0) taken as 0."""
-    if t == 0.0:
-        return np.where(n == 0, 0.0, -np.inf)
-    return n * math.log(t)
+# Profiles are evaluated in blocks of about this many profile x term
+# elements, so a batch of any size holds a few blocks of temporaries at once.
+_BLOCK_ELEMENTS = 1 << 14
+
+# Stands in for log(0).  n * _LOG_ZERO is (minus) zero at n = 0, so 0 * log(0)
+# counts as 0, and at n >= 1 it lies far below the log coefficients (at most
+# m log 3) without overflowing, so its exp is exactly 0, as exp(-inf) is.
+_LOG_ZERO = -1e200
 
 
 @lru_cache(maxsize=8)
 def _terms(s: Scenario):
     """The per-scenario summation table over the m users.
 
-    One row per (decodable count pair, layer): the high region first, then
-    the low region, each in ascending scan order.  Columns are n1, n2, the
-    log trinomial coefficient, the conditional layer rate and the users the
-    layer decodes (n1 on high rows, n2 on low rows).
+    One column per (decodable count pair, layer): the high region first, then
+    the low region, each in ascending scan order.  Returns the (3, T) counts
+    n1, n2 and m - n1 - n2 as floats, the log trinomial coefficients, the
+    conditional layer rates and the users each layer decodes (n1 on high
+    columns, n2 on low columns).
     """
     b = region_bounds(s)
     rows = [
@@ -266,23 +271,51 @@ def _terms(s: Scenario):
         for n2 in range(1, b.low_max + 1)
         for n1 in range(b.high_max_given_low[n2 - 1] + 1)
     ]
-    n1 = np.array([r[0] for r in rows], dtype=np.int64)
-    n2 = np.array([r[1] for r in rows], dtype=np.int64)
+    counts = np.array(
+        [[r[0] for r in rows], [r[1] for r in rows], [s.m - r[0] - r[1] for r in rows]],
+        dtype=float,
+    )
     log_coef = np.array([_log_trinomial_coef(s.m, r[0], r[1]) for r in rows])
     rate = np.array([r[2] for r in rows])
-    decoded_users = np.array([r[3] for r in rows], dtype=np.int64)
-    return n1, n2, log_coef, rate, decoded_users
+    decoded_users = np.array([r[3] for r in rows], dtype=float)
+    return counts, log_coef, rate, decoded_users
 
 
-def _pmf(s: Scenario, prof: PowerProfile, n1, n2, log_coef):
-    """Trinomial masses of the count arrays (n1, n2) over the m users."""
-    log_p = (
-        log_coef
-        + _xlogy(n1, prof.tau1)
-        + _xlogy(n2, prof.tau2)
-        + _xlogy(s.m - n1 - n2, prof.idle)
-    )
-    return np.exp(log_p)
+def _logs(t):
+    """math.log of each probability, _LOG_ZERO at zero (or below).  Not
+    np.log: its vectorised log may differ from math.log in the last place."""
+    return np.array([math.log(x) if x > 0.0 else _LOG_ZERO for x in t.tolist()])
+
+
+def _evaluate(s: Scenario, tau1, tau2):
+    """Throughput and success probability of K profiles at once.
+
+    ``tau1`` and ``tau2`` are arrays (or scalars) broadcast to shape (K,);
+    returns two (K,) arrays.  This is the one evaluation kernel: every
+    throughput and success probability of the package comes from it.  Each
+    profile's trinomial log masses are summed in the same order, its logs are
+    taken by ``math.log`` and each row is reduced by ``np.sum`` (pairwise),
+    so a profile's values do not depend on the batch it is evaluated in.
+    """
+    tau1 = np.array(tau1, dtype=float, ndmin=1)
+    tau2 = np.array(tau2, dtype=float, ndmin=1)
+    # can round one ulp below zero on the simplex edge; _logs takes that as 0
+    idle = 1.0 - tau1 - tau2
+    logs = [_logs(t) for t in (tau1, tau2, idle)]
+    logs = [x if x.size == idle.size else np.full(idle.size, x[0]) for x in logs]
+    counts, log_coef, rate, decoded_users = _terms(s)
+    th = np.empty(idle.size)
+    p = np.empty(idle.size)
+    rows = max(1, _BLOCK_ELEMENTS // max(1, rate.size))
+    for a in range(0, idle.size, rows):
+        block = slice(a, a + rows)
+        log_p = log_coef + np.multiply.outer(logs[0][block], counts[0])
+        log_p += np.multiply.outer(logs[1][block], counts[1])
+        log_p += np.multiply.outer(logs[2][block], counts[2])
+        pmf = np.exp(log_p, out=log_p)
+        th[block] = np.sum(rate * pmf, axis=1)
+        p[block] = np.sum(decoded_users * pmf, axis=1) / s.m
+    return th, p
 
 
 def success_probability(s: Scenario, prof: PowerProfile) -> float:
@@ -291,8 +324,7 @@ def success_probability(s: Scenario, prof: PowerProfile) -> float:
     Users are exchangeable, so this is the expected number of decoded users
     per slot divided by m, summed over the same table as the throughput.
     """
-    n1, n2, log_coef, _, decoded_users = _terms(s)
-    return float(np.sum(decoded_users * _pmf(s, prof, n1, n2, log_coef)) / s.m)
+    return float(_evaluate(s, prof.tau1, prof.tau2)[1][0])
 
 
 def cond_sum_rate_high(s: Scenario, pair: CountPair) -> float:
@@ -335,8 +367,7 @@ def average_throughput(s: Scenario, prof: PowerProfile) -> float:
     low layer then fails; the low layer's region already requires the high
     layer decoded.
     """
-    n1, n2, log_coef, rate, _ = _terms(s)
-    return float(np.sum(rate * _pmf(s, prof, n1, n2, log_coef)))
+    return float(_evaluate(s, prof.tau1, prof.tau2)[0][0])
 
 
 def baseline_success(s: Scenario, p: float) -> float:

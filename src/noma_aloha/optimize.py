@@ -4,12 +4,20 @@ The objective ``average_throughput(s, (tau1, tau2))`` is a polynomial mixture
 over the decodable count regions and can be multimodal, so the search is
 derivative-free: alternating 1-D maximisations (coarse grid scan plus bracket
 refinement) until the improvement drops below a tolerance.  An exhaustive
-simplex grid search doubles as a validation oracle.
+simplex grid search doubles as a validation oracle.  Both evaluate their
+sample points in batches through the model's one evaluation kernel.
 """
 
+import math
 from dataclasses import dataclass
 
-from .model import PowerProfile, Scenario, average_throughput
+import numpy as np
+
+from .model import Scenario, _evaluate
+
+# not called here any more: the benchmark's layer probe and traced runs patch
+# ``optimize.average_throughput`` by name, so the name stays importable
+from .model import average_throughput  # noqa: F401
 
 __all__ = [
     "AscentConfig",
@@ -73,22 +81,48 @@ class OptimizationResult:
     trace: tuple[tuple[int, float, float, float], ...]
 
 
+# Sample points are built and evaluated at most this many at a time, so the
+# scans and the oracle hold bounded memory at any step.
+_SCAN_PIECE = 1 << 16
+
+
+def _samples(lo, end, step, keep, tail=()):
+    """lo + k*step for k = 0, 1, ... while keep(x) holds, then ``tail``, in
+    pieces of at most _SCAN_PIECE points.
+
+    numpy forms k*step and the sum in the same floats as the scalar loop
+    ``x = lo + k * step``; ``end`` estimates where keep first fails and only
+    sizes the pieces.
+    """
+    size = int(min(_SCAN_PIECE, (end - lo) / step + 3))
+    k = 0
+    while True:
+        xs = lo + np.arange(k, k + size) * step
+        n = int(np.count_nonzero(keep(xs)))  # a prefix: xs never decreases
+        if n < size:
+            xs = np.append(xs[:n], tail)
+            if xs.size:
+                yield xs
+            return
+        yield xs
+        k += size
+
+
 def _scan(f, lo, hi, step):
     """Maximise f on [lo, hi] sampled at lo + k*step plus the hi endpoint.
 
-    Ties keep the first (smallest) argument, so results are deterministic.
+    f maps an array of arguments to an array of values.  Ties keep the first
+    (smallest) argument, as np.argmax does, so results are deterministic.
     """
-    best_x, best_f = lo, f(lo)
-    k = 1
-    while (x := lo + k * step) < hi:
-        fx = f(x)
-        if fx > best_f:
-            best_x, best_f = x, fx
-        k += 1
+    pieces = [np.array([lo])]
     if hi > lo:
-        fx = f(hi)
-        if fx > best_f:
-            best_x, best_f = hi, fx
+        pieces = _samples(lo, hi, step, lambda x: x < hi, tail=[hi])
+    best_x, best_f = lo, -math.inf
+    for xs in pieces:
+        fx = f(xs)
+        i = int(np.argmax(fx))
+        if fx[i] > best_f:
+            best_x, best_f = float(xs[i]), float(fx[i])
     return best_x, best_f
 
 
@@ -105,24 +139,27 @@ def _maximize_1d(f, hi, cfg: AscentConfig):
     return x, fx
 
 
+def _maximize_over(s: Scenario, axis: int, fixed: float, cfg: AscentConfig | None):
+    """Best value of coordinate ``axis`` (0: tau1, 1: tau2) in [0, 1 - fixed]
+    with the other coordinate held at ``fixed``, and the attained throughput."""
+    cfg = cfg or AscentConfig()
+    if not 0.0 <= fixed <= 1.0:
+        raise ValueError(f"{('tau2', 'tau1')[axis]} must lie in [0, 1]")
+
+    def throughput(xs):
+        return _evaluate(s, *((xs, fixed) if axis == 0 else (fixed, xs)))[0]
+
+    return _maximize_1d(throughput, 1.0 - fixed, cfg)
+
+
 def maximize_over_tau2(s: Scenario, tau1: float, cfg: AscentConfig | None = None):
     """Best tau2 in [0, 1 - tau1] for fixed tau1, with the attained throughput."""
-    cfg = cfg or AscentConfig()
-    if not 0.0 <= tau1 <= 1.0:
-        raise ValueError("tau1 must lie in [0, 1]")
-    return _maximize_1d(
-        lambda t2: average_throughput(s, PowerProfile(tau1, t2)), 1.0 - tau1, cfg
-    )
+    return _maximize_over(s, 1, tau1, cfg)
 
 
 def maximize_over_tau1(s: Scenario, tau2: float, cfg: AscentConfig | None = None):
     """Best tau1 in [0, 1 - tau2] for fixed tau2, with the attained throughput."""
-    cfg = cfg or AscentConfig()
-    if not 0.0 <= tau2 <= 1.0:
-        raise ValueError("tau2 must lie in [0, 1]")
-    return _maximize_1d(
-        lambda t1: average_throughput(s, PowerProfile(t1, tau2)), 1.0 - tau2, cfg
-    )
+    return _maximize_over(s, 0, tau2, cfg)
 
 
 def _alternating_sweep(s: Scenario, cfg: AscentConfig, low_first: bool) -> OptimizationResult:
@@ -133,31 +170,24 @@ def _alternating_sweep(s: Scenario, cfg: AscentConfig, low_first: bool) -> Optim
     update is accepted only when it improves the incumbent throughput by more
     than epsilon; the first rejected update stops the run (converged).
     """
-    tau1 = cfg.initial_tau1 if low_first else 0.0
-    tau2 = 0.0
+    tau = [cfg.initial_tau1 if low_first else 0.0, 0.0]
     best = 0.0
-    trace = [(0, tau1, tau2, best)]
+    trace = [(0, *tau, best)]
     converged = False
     outer = 0
-    order = ("tau2", "tau1") if low_first else ("tau1", "tau2")
+    axes = (1, 0) if low_first else (0, 1)
     while outer < cfg.max_outer_iterations and not converged:
         outer += 1
-        for which in order:
-            if which == "tau2":
-                cand, th = maximize_over_tau2(s, tau1, cfg)
-            else:
-                cand, th = maximize_over_tau1(s, tau2, cfg)
+        for axis in axes:
+            cand, th = _maximize_over(s, axis, tau[1 - axis], cfg)
             if th - best > cfg.epsilon:
-                if which == "tau2":
-                    tau2 = cand
-                else:
-                    tau1 = cand
+                tau[axis] = cand
                 best = th
-                trace.append((outer, tau1, tau2, best))
+                trace.append((outer, *tau, best))
             else:
                 converged = True
                 break
-    return OptimizationResult(tau1, tau2, best, outer, converged, tuple(trace))
+    return OptimizationResult(*tau, best, outer, converged, tuple(trace))
 
 
 def coordinate_ascent(s: Scenario, cfg: AscentConfig | None = None) -> OptimizationResult:
@@ -180,10 +210,9 @@ def coordinate_ascent(s: Scenario, cfg: AscentConfig | None = None) -> Optimizat
 def grid_search_oracle(s: Scenario, step: float) -> OptimizationResult:
     """Exhaustive throughput maximisation on the (tau1, tau2) simplex grid.
 
-    Evaluates every (i*step, j*step) with sum at most 1 and returns the
-    argmax; ties resolve to the lexicographically smallest point.  The scan
-    order is fixed, so parallel and serial evaluation would reduce to the
-    same result bit for bit.
+    Evaluates every (i*step, j*step) with sum at most 1, in batches along
+    each tau1 row, and returns the argmax; ties resolve to the lexicographically
+    smallest point.
     """
     if not 0.0 < step <= 0.1:
         raise ValueError("step must lie in (0, 0.1]")
@@ -191,12 +220,11 @@ def grid_search_oracle(s: Scenario, step: float) -> OptimizationResult:
     best = (0.0, 0.0)
     i = 0
     while (tau1 := i * step) <= 1.0:
-        j = 0
-        while tau1 + (tau2 := j * step) <= 1.0:
-            th = average_throughput(s, PowerProfile(tau1, tau2))
-            if th > best_th:
-                best_th, best = th, (tau1, tau2)
-            j += 1
+        for tau2 in _samples(0.0, 1.0 - tau1, step, lambda x: tau1 + x <= 1.0):
+            th = _evaluate(s, tau1, tau2)[0]
+            j = int(np.argmax(th))
+            if th[j] > best_th:
+                best_th, best = float(th[j]), (tau1, float(tau2[j]))
         i += 1
     tau1, tau2 = best
     return OptimizationResult(

@@ -5,13 +5,16 @@ and the random and SINR-boundary scenarios they are checked on."""
 import math
 from math import comb
 
+import numpy as np
 from hypothesis import assume
 from hypothesis import strategies as st
 
+from noma_aloha import model
 from noma_aloha.model import (
     CountPair,
     PowerProfile,
     Scenario,
+    average_throughput,
     decode_feasibility,
     sinr_high,
     sinr_low,
@@ -71,6 +74,52 @@ def brute_force_throughput(s, prof):
     return total
 
 
+def reference_evaluate(s, prof):
+    """Throughput and success probability of one profile by the scalar
+    formula the batched kernel replaced: the profile's trinomial log masses
+    over the cached table, with 0 * log(0) = 0, and one np.sum per total."""
+    counts, log_coef, rate, decoded_users = model._terms(s)
+    log_p = log_coef
+    for n, t in zip(counts, (prof.tau1, prof.tau2, prof.idle)):
+        log_p = log_p + (n * math.log(t) if t != 0.0 else np.where(n == 0, 0.0, -np.inf))
+    pmf = np.exp(log_p)
+    return float(np.sum(rate * pmf)), float(np.sum(decoded_users * pmf) / s.m)
+
+
+def reference_scan(f, lo, hi, step):
+    """The scalar 1-D scan the batched one replaced: f at lo + k*step while
+    below hi, then at hi; only a strictly larger value moves the argmax."""
+    best_x, best_f = lo, f(lo)
+    k = 1
+    while (x := lo + k * step) < hi:
+        fx = f(x)
+        if fx > best_f:
+            best_x, best_f = x, fx
+        k += 1
+    if hi > lo:
+        fx = f(hi)
+        if fx > best_f:
+            best_x, best_f = hi, fx
+    return best_x, best_f
+
+
+def reference_oracle(s, step):
+    """The nested-loop simplex grid search the batched oracle replaced:
+    (tau1, tau2, throughput) of the lexicographically first maximum."""
+    best_th = -1.0
+    best = (0.0, 0.0)
+    i = 0
+    while (tau1 := i * step) <= 1.0:
+        j = 0
+        while tau1 + (tau2 := j * step) <= 1.0:
+            th = average_throughput(s, PowerProfile(tau1, tau2))
+            if th > best_th:
+                best_th, best = th, (tau1, tau2)
+            j += 1
+        i += 1
+    return (*best, best_th)
+
+
 def near_threshold(s, tol=1e-9):
     """True when some first-signal SINR sits within tol of the threshold;
     floor arithmetic may then disagree with the direct inequality."""
@@ -115,6 +164,17 @@ def random_scenario(rng, m_max=20, v1_lo=1.0, v1_hi=20.0, gamma_lo=0.1, gamma_hi
         s = Scenario(m=m, v1=v1, v2=v2, gamma=gamma)
         if not near_threshold(s):
             return s
+
+
+@st.composite
+def edge_profiles(draw):
+    """Profiles inside the simplex and on its edges: tau1 or tau2 equal to 0
+    or 1, and tau2 = 1 - tau1 (idle 0)."""
+    tau1 = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+    tau2 = draw(
+        st.one_of(st.sampled_from([0.0, 1.0 - tau1]), st.floats(0.0, 1.0).map(lambda u: u * (1.0 - tau1)))
+    )
+    return PowerProfile(tau1, tau2)
 
 
 def random_profile(rng):

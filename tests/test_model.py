@@ -4,7 +4,9 @@ import math
 import os
 import subprocess
 import sys
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -32,7 +34,10 @@ from support import (
     boundary_scenarios,
     brute_force_success,
     brute_force_throughput,
+    edge_profiles,
     near_threshold,
+    random_scenario,
+    reference_evaluate,
     trinomial_pmf,
 )
 
@@ -339,6 +344,63 @@ class TestAverageThroughput:
         assert average_throughput(s, prof) == pytest.approx(
             brute_force_throughput(s, prof), rel=0, abs=1e-12
         )
+
+
+class TestEvaluationKernel:
+    """The batched kernel gives every profile the bits of the scalar formula
+    it replaced, whatever the batch and its blocking."""
+
+    @staticmethod
+    def check_batch(s, profs):
+        tau1 = np.array([prof.tau1 for prof in profs])
+        tau2 = np.array([prof.tau2 for prof in profs])
+        th, p = model._evaluate(s, tau1, tau2)
+        expected = [reference_evaluate(s, prof) for prof in profs]
+        assert list(zip(th.tolist(), p.tolist())) == expected
+        assert th.tolist() == [average_throughput(s, prof) for prof in profs]
+        assert p.tolist() == [success_probability(s, prof) for prof in profs]
+        # blocks of one profile, and blocks that split the batch unevenly
+        for block in (1, 3 * len(model._terms(s)[2]) + 1):
+            with mock.patch.object(model, "_BLOCK_ELEMENTS", block):
+                assert [a.tolist() for a in model._evaluate(s, tau1, tau2)] == [
+                    th.tolist(),
+                    p.tolist(),
+                ]
+
+    @given(st.integers(0, 2**32 - 1), st.lists(edge_profiles(), min_size=1, max_size=30))
+    @settings(max_examples=60, deadline=None)
+    def test_random_scenarios_match_scalar_formula(self, seed, profs):
+        self.check_batch(random_scenario(np.random.default_rng(seed), m_max=40), profs)
+
+    @given(boundary_scenarios(), st.lists(edge_profiles(), min_size=1, max_size=30))
+    @settings(max_examples=60, deadline=None)
+    def test_boundary_scenarios_match_scalar_formula(self, s, profs):
+        self.check_batch(s, profs)
+
+    def test_dense_batches_match_scalar_formula(self):
+        # a last-place change in one log (np.log for math.log, say) moves
+        # well under 1 % of the profiles, so each batch is large
+        rng = np.random.default_rng(5)
+        for s in (Scenario(50, 20.0, 2.0, 0.18), Scenario(200, 20.0, 2.0, 0.3), Scenario(20, 8.0, 2.0, 0.5)):
+            tau1 = rng.uniform(0.0, 0.2, 400).tolist()
+            tau2 = rng.uniform(0.0, 0.2, 400).tolist()
+            self.check_batch(s, [PowerProfile(a, b) for a, b in zip(tau1, tau2)])
+
+    def test_simplex_corners_and_empty_region(self):
+        corners = [PowerProfile(*t) for t in ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.3, 0.7))]
+        # 1 - tau1 - tau2 rounds one ulp below zero here
+        corners.append(PowerProfile(0.028275683863404344, 0.9717243161365957))
+        assert 1.0 - corners[-1].tau1 - corners[-1].tau2 < 0.0
+        for s in (DEFAULTS, Scenario(1, 4.0, 1.5, 1.5), Scenario(10, 4.0, 1.5, 5.0)):
+            self.check_batch(s, corners)
+        th, p = model._evaluate(Scenario(10, 4.0, 1.5, 5.0), [0.2, 0.5], [0.3, 0.5])
+        assert th.tolist() == [0.0, 0.0] and p.tolist() == [0.0, 0.0]
+
+    def test_scalar_coordinate_broadcasts(self):
+        tau2 = np.linspace(0.0, 0.9, 50)
+        th, p = model._evaluate(DEFAULTS, 0.1, tau2)
+        assert th.shape == p.shape == (50,)
+        assert th.tolist() == [average_throughput(DEFAULTS, PowerProfile(0.1, t)) for t in tau2]
 
 
 class TestBaseline:

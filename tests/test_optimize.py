@@ -1,10 +1,14 @@
 """Tests for the alternating maximisation and the grid-search oracle."""
 
 import math
+import tracemalloc
+from unittest import mock
 
+import numpy as np
 import pytest
 
-from noma_aloha.model import PowerProfile, Scenario, average_throughput
+from noma_aloha import optimize
+from noma_aloha.model import PowerProfile, Scenario, _evaluate, average_throughput
 from noma_aloha.optimize import (
     AscentConfig,
     coordinate_ascent,
@@ -12,6 +16,7 @@ from noma_aloha.optimize import (
     maximize_over_tau1,
     maximize_over_tau2,
 )
+from support import reference_oracle, reference_scan
 
 DEFAULTS = Scenario(m=10, v1=4.0, v2=1.5, gamma=1.5)
 SINGLE = Scenario(m=1, v1=4.0, v2=1.5, gamma=1.5)
@@ -88,6 +93,37 @@ class TestInnerMaximizations:
             maximize_over_tau2(DEFAULTS, 1.2)
         with pytest.raises(ValueError):
             maximize_over_tau1(DEFAULTS, -0.1)
+
+
+class TestBatchedScan:
+    """The batched scan visits the scalar loop's floats and keeps its argmax."""
+
+    CASES = [
+        (0.0, 1.0, 1e-3),  # the coarse scan of the ascent
+        (0.3, 0.3, 0.01),  # hi == lo: lo alone
+        (0.0, 0.7, 0.3),  # the step does not divide the span
+        (0.0, 0.5, 0.125),  # lo + 4*step lands exactly on hi
+        (0.25, 0.75, 0.0625),  # ... from lo > 0
+        (0.0121, 0.0141, 1e-4),  # a refinement bracket
+    ]
+
+    @pytest.mark.parametrize("lo, hi, step", CASES)
+    @pytest.mark.parametrize("s", [DEFAULTS, SINGLE, EMPTY, Scenario(50, 20.0, 2.0, 0.3)])
+    def test_matches_reference_loop(self, s, lo, hi, step):
+        got = optimize._scan(lambda xs: _evaluate(s, 0.0, xs)[0], lo, hi, step)
+        want = reference_scan(
+            lambda x: average_throughput(s, PowerProfile(0.0, x)), lo, hi, step
+        )
+        assert got == want
+
+    @pytest.mark.parametrize("lo, hi, step", CASES)
+    @pytest.mark.parametrize("piece", [1, 2, 4, 5])
+    def test_ties_keep_first_sample_across_pieces(self, lo, hi, step, piece):
+        # a staircase with long runs of equal values; pieces of 4 end exactly
+        # on the last sample below hi in the (0, 0.5, 0.125) case
+        with mock.patch.object(optimize, "_SCAN_PIECE", piece):
+            got = optimize._scan(lambda xs: np.floor(xs * 3.0), lo, hi, step)
+        assert got == reference_scan(lambda x: float(math.floor(x * 3.0)), lo, hi, step)
 
 
 class TestCoordinateAscent:
@@ -169,3 +205,30 @@ class TestGridSearchOracle:
     def test_grid_respects_simplex(self):
         res = grid_search_oracle(Scenario(3, 4.0, 1.5, 0.5), 0.1)
         assert res.tau1_star + res.tau2_star <= 1.0
+
+    @pytest.mark.parametrize("step", [0.1, 0.05, 0.01])
+    @pytest.mark.parametrize(
+        "s", [DEFAULTS, SINGLE, EMPTY, Scenario(3, 4.0, 1.5, 0.5), Scenario(50, 20.0, 2.0, 0.3)]
+    )
+    def test_matches_reference_nested_loops(self, s, step):
+        res = grid_search_oracle(s, step)
+        assert (res.tau1_star, res.tau2_star, res.th_star) == reference_oracle(s, step)
+
+    @pytest.mark.parametrize("piece", [1, 7])
+    def test_rows_split_into_pieces_match_reference(self, piece):
+        with mock.patch.object(optimize, "_SCAN_PIECE", piece):
+            res = grid_search_oracle(DEFAULTS, 0.05)
+        assert (res.tau1_star, res.tau2_star, res.th_star) == reference_oracle(DEFAULTS, 0.05)
+
+    def test_memory_stays_bounded_on_a_fine_grid(self):
+        # about 125 k profiles over an 86-term table: built all at once, one
+        # profile x term array would take about 86 MB
+        s = Scenario(50, 20.0, 2.0, 0.3)
+        tracemalloc.start()
+        try:
+            res = grid_search_oracle(s, 0.002)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.th_star > 0.0
+        assert peak < 4 * 2**20, peak
