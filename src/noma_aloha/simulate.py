@@ -3,16 +3,23 @@
 Per slot, every user independently picks an action (idle / high / low); the
 receiver then runs sequential SIC over the slot.  Channel inversion makes
 every received power exactly v1 or v2, so decoding outcomes depend on the
-transmitter counts alone: the decoder is evaluated once per count pair that
-can decode anything and looked up per slot.  Adding a transmitter never
-raises the first (weakest) SINR of a layer, so the table stops at the first
-pair of each row that decodes nothing and at the first row whose high layer
-fails on its own; every pair beyond decodes nothing.  Uniforms are drawn in
-chunks into buffers allocated once per run, and the optional per-slot trace
-is written in blocks of preformatted rows.
+transmitter counts alone, and the simulator draws the counts, not the users:
+one uniform gives the tagged user's action, and two binomials give how many
+of the other m - 1 users transmit at high and at low power.  A slot
+therefore costs the same at every m.
+
+The decoder is evaluated once per count pair that can decode anything and
+looked up per slot.  Adding a transmitter never raises the first (weakest)
+SINR of a layer, so the table stops at the first pair of each row that
+decodes nothing and at the first row whose high layer fails on its own;
+every pair beyond decodes nothing.  The tables cover the decodable pairs
+plus one all-zero row and column, and counts beyond them are clipped onto
+that border.  Slots are drawn in chunks, and the optional per-slot trace is
+written in blocks of preformatted rows.
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -74,7 +81,8 @@ class SimStats:
     stderr_p: float
     stderr_th: float
     slots_run: int
-    pair_counts: np.ndarray | None = field(default=None, repr=False, compare=False)
+    # slots per (n1, n2) count pair seen; unseen pairs read 0
+    pair_counts: Counter | None = field(default=None, repr=False, compare=False)
 
 
 def sic_decode(s: Scenario, n1: int, n2: int) -> SlotOutcome:
@@ -116,31 +124,48 @@ def _decode_tables(s: Scenario):
     only lower the first-signal SINR of each layer: once a pair other than
     (0, 0) decodes nothing, so does every later pair of its row, and once
     n1 >= 1 high-power signals fail alone, no larger n1 decodes anything.
-    Pairs never visited keep the all-zero outcome.
+    The tables end one row and one column past the largest n1 and n2 that
+    decode anything, so that row and column are all zero; pairs never
+    visited keep the all-zero outcome.  Look pairs up through ``_clip``.
     """
-    size = s.m + 1
-    high_ok = np.zeros((size, size), dtype=bool)
-    low_ok = np.zeros((size, size), dtype=bool)
-    rate = np.zeros((size, size))
-    for n1 in range(size):
-        for n2 in range(size - n1):
+    decoded = {}
+    for n1 in range(s.m + 1):
+        for n2 in range(s.m + 1 - n1):
             out = sic_decode(s, n1, n2)
-            if not (out.high_decoded or out.low_decoded) and n1 + n2 > 0:
+            if out.high_decoded or out.low_decoded:
+                decoded[n1, n2] = out
+            elif n1 + n2 > 0:
                 break
-            high_ok[n1, n2] = out.high_decoded
-            low_ok[n1, n2] = out.low_decoded
-            rate[n1, n2] = out.sum_rate
-        if n1 >= 1 and not high_ok[n1, 0]:
+        if n1 >= 1 and (n1, 0) not in decoded:
             break
+    shape = (
+        max((n1 for n1, _ in decoded), default=-1) + 2,
+        max((n2 for _, n2 in decoded), default=-1) + 2,
+    )
+    high_ok = np.zeros(shape, dtype=bool)
+    low_ok = np.zeros(shape, dtype=bool)
+    rate = np.zeros(shape)
+    for pair, out in decoded.items():
+        high_ok[pair] = out.high_decoded
+        low_ok[pair] = out.low_decoded
+        rate[pair] = out.sum_rate
     return high_ok, low_ok, rate
+
+
+def _clip(tables, n1, n2):
+    """Table indices of count pairs: counts past the decodable region land
+    on the all-zero last row or column."""
+    rows, cols = tables[0].shape
+    return np.minimum(n1, rows - 1), np.minimum(n2, cols - 1)
 
 
 def _trace_suffix(tables, n1: int, n2: int) -> str:
     """The "n1,n2,high_decoded,low_decoded,sum_rate" tail of a trace row."""
     high_tab, low_tab, rate_tab = tables
-    high = "true" if high_tab[n1, n2] else "false"
-    low = "true" if low_tab[n1, n2] else "false"
-    return f"{n1},{n2},{high},{low},{format(float(rate_tab[n1, n2]), '.17g')}\n"
+    at = _clip(tables, n1, n2)
+    high = "true" if high_tab[at] else "false"
+    low = "true" if low_tab[at] else "false"
+    return f"{n1},{n2},{high},{low},{format(float(rate_tab[at]), '.17g')}\n"
 
 
 def run_simulation(
@@ -151,28 +176,29 @@ def run_simulation(
 ) -> SimStats:
     """Simulate cfg.slots slots for each replication and aggregate.
 
-    Replication r draws from its own generator seeded by (cfg.seed, r), so
-    replications are independent streams and the whole run is reproducible
-    bit for bit.  The success estimator follows one tagged user by default
-    (all users are exchangeable); "all-users" averages over the population
-    instead.  ``trace_path`` optionally receives one CSV record per simulated
-    slot (slot index restarts at 0 in each replication; replications are
-    written back to back).
+    Replication r spawns three generators from SeedSequence([cfg.seed, r]).
+    The first draws one uniform per slot for the tagged user's action; the
+    second draws n1, the other m - 1 users at high power,
+    Binomial(m - 1, tau1); the third draws n2, the rest at low power,
+    Binomial(m - 1 - n1, tau2 / (1 - tau1)).  Each generator is consumed in
+    slot order, so the draws do not depend on the chunk size, replications
+    are independent streams, and the whole run is reproducible bit for bit.
+    The success estimator follows the tagged user by default (all users are
+    exchangeable); "all-users" averages over the population instead.
+    ``trace_path`` optionally receives one CSV record per simulated slot
+    (slot index restarts at 0 in each replication; replications are written
+    back to back).
     """
     tables = _decode_tables(s)
     high_tab, low_tab, rate_tab = tables
     t1 = prof.tau1
     t12 = prof.tau1 + prof.tau2
+    # P(low | not high); on the simplex edge the ratio can round above 1
+    q = min(prof.tau2 / (1.0 - t1), 1.0) if t1 < 1.0 else 0.0
+    others = s.m - 1
     p_reps = np.empty(cfg.replications)
     th_reps = np.empty(cfg.replications)
-    pairs = (s.m + 1) * (s.m + 1)
-    counts = np.zeros(pairs, dtype=np.int64)
-    # one set of chunk buffers for the whole run; row slices of a C-ordered
-    # array stay contiguous, as Generator.random(out=) requires
-    rows = min(_CHUNK_SLOTS, cfg.slots)
-    u_buf = np.empty((rows, s.m))
-    high_buf = np.empty((rows, s.m), dtype=bool)
-    low_buf = np.empty((rows, s.m), dtype=bool)
+    pair_counts = Counter()
 
     trace_file = None
     suffixes = {}
@@ -182,44 +208,53 @@ def run_simulation(
 
     try:
         for rep in range(cfg.replications):
-            rng = np.random.default_rng([cfg.seed, rep])
+            tag_rng, high_rng, low_rng = map(
+                np.random.default_rng, np.random.SeedSequence([cfg.seed, rep]).spawn(3)
+            )
             success_total = 0.0
             rate_total = 0.0
             done = 0
             while done < cfg.slots:
                 n = min(_CHUNK_SLOTS, cfg.slots - done)
-                u = rng.random(out=u_buf[:n])
-                is_high = np.less(u, t1, out=high_buf[:n])
-                is_low = np.less(u, t12, out=low_buf[:n])
-                is_low ^= is_high  # t1 <= t12, so u < t1 implies u < t12
-                n1 = is_high.sum(axis=1)
-                n2 = is_low.sum(axis=1)
-                slot_high = high_tab[n1, n2]
-                slot_low = low_tab[n1, n2]
-                slot_rate = rate_tab[n1, n2]
+                u = tag_rng.random(n)
+                tag_high = u < t1
+                tag_low = (u < t12) ^ tag_high  # t1 <= t12, so u < t1 implies u < t12
+                n1 = high_rng.binomial(others, t1, n)
+                n2 = low_rng.binomial(others - n1, q)
+                n1 += tag_high
+                n2 += tag_low
+                at = _clip(tables, n1, n2)
+                slot_high = high_tab[at]
+                slot_low = low_tab[at]
                 if cfg.success_estimator == "tagged":
                     success_total += np.count_nonzero(
-                        (is_high[:, 0] & slot_high) | (is_low[:, 0] & slot_low)
+                        (tag_high & slot_high) | (tag_low & slot_low)
                     )
                 else:
                     success_total += float(
                         np.sum(n1 * slot_high + n2 * slot_low)
                     ) / s.m
-                rate_total += float(slot_rate.sum())
-                pair_index = n1 * (s.m + 1) + n2
-                chunk_counts = np.bincount(pair_index, minlength=pairs)
-                counts += chunk_counts
+                rate_total += float(rate_tab[at].sum())
+                # one key per slot, wide enough for this chunk's largest n2
+                width = int(n2.max()) + 1
+                keys = n1 * width + n2
+                seen, freq = np.unique(keys, return_counts=True)
+                seen = seen.tolist()
+                pairs = [divmod(k, width) for k in seen]
+                pair_counts.update(dict(zip(pairs, freq.tolist())))
                 if trace_file is not None:
-                    for k in np.flatnonzero(chunk_counts).tolist():
-                        if k not in suffixes:
-                            suffixes[k] = _trace_suffix(tables, *divmod(k, s.m + 1))
+                    suffix_of = {}
+                    for k, pair in zip(seen, pairs):
+                        if pair not in suffixes:
+                            suffixes[pair] = _trace_suffix(tables, *pair)
+                        suffix_of[k] = suffixes[pair]
                     for lo in range(0, n, _TRACE_BLOCK_ROWS):
-                        keys = pair_index[lo : lo + _TRACE_BLOCK_ROWS].tolist()
+                        block = keys[lo : lo + _TRACE_BLOCK_ROWS].tolist()
                         trace_file.write(
                             "".join(
                                 [
-                                    f"{slot},{suffixes[k]}"
-                                    for slot, k in enumerate(keys, done + lo)
+                                    f"{slot},{suffix_of[k]}"
+                                    for slot, k in enumerate(block, done + lo)
                                 ]
                             )
                         )
@@ -242,5 +277,5 @@ def run_simulation(
         stderr_p=stderr_p,
         stderr_th=stderr_th,
         slots_run=cfg.slots * cfg.replications,
-        pair_counts=counts.reshape(s.m + 1, s.m + 1),
+        pair_counts=pair_counts,
     )

@@ -8,6 +8,8 @@ of the time.
 import csv
 import io
 import math
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -47,35 +49,59 @@ def full_decode_tables(s):
 
 
 def assert_tables_match_full_grid(s):
+    """Every pair of the (m+1)^2 grid, clipped onto the small tables' border,
+    reads what sic_decode gives for it."""
     got = simulate._decode_tables.__wrapped__(s)
+    rows, cols = got[0].shape
+    n1, n2 = np.indices((s.m + 1, s.m + 1))
+    at = np.minimum(n1, rows - 1), np.minimum(n2, cols - 1)
     for name, a, b in zip(("high_ok", "low_ok", "rate"), got, full_decode_tables(s)):
-        assert np.array_equal(a, b), (name, s)
+        assert np.array_equal(a[at], b), (name, s)
+
+
+def replication_streams(seed, rep):
+    """The three generators of one replication: tagged user, high, low."""
+    return [np.random.default_rng(c) for c in np.random.SeedSequence([seed, rep]).spawn(3)]
+
+
+def draw_slots(streams, prof, m, n):
+    """n slots from the three generators: the tagged user's flags and the
+    counts n1, n2, tagged user included.  The m - 1 others transmit at high
+    power w.p. tau1 and, given not high, at low power w.p. tau2 / (1 - tau1)."""
+    tag_rng, high_rng, low_rng = streams
+    u = tag_rng.random(n)
+    tag_high = u < prof.tau1
+    tag_low = ~tag_high & (u < prof.tau1 + prof.tau2)
+    q = 0.0 if prof.tau1 == 1.0 else min(1.0, prof.tau2 / (1.0 - prof.tau1))
+    others_high = high_rng.binomial(m - 1, prof.tau1, size=n)
+    others_low = low_rng.binomial(m - 1 - others_high, q)
+    return tag_high, tag_low, others_high + tag_high, others_low + tag_low
 
 
 def chunked_reference(s, prof, cfg, chunk):
     """The simulator's arithmetic with fresh arrays for every chunk of
-    ``chunk`` slots: what the reused buffers must reproduce bit for bit."""
+    ``chunk`` slots and full-grid decode tables: what the simulator must
+    reproduce bit for bit."""
     high_tab, low_tab, rate_tab = full_decode_tables(s)
     p_reps, th_reps = [], []
-    counts = np.zeros((s.m + 1, s.m + 1), dtype=np.int64)
+    counts = Counter()
     for rep in range(cfg.replications):
-        rng = np.random.default_rng([cfg.seed, rep])
+        streams = replication_streams(cfg.seed, rep)
         success_total = rate_total = 0.0
         for done in range(0, cfg.slots, chunk):
-            u = rng.random((min(chunk, cfg.slots - done), s.m))
-            is_high = u < prof.tau1
-            is_low = ~is_high & (u < prof.tau1 + prof.tau2)
-            n1, n2 = is_high.sum(axis=1), is_low.sum(axis=1)
+            tag_high, tag_low, n1, n2 = draw_slots(
+                streams, prof, s.m, min(chunk, cfg.slots - done)
+            )
             if cfg.success_estimator == "tagged":
                 success_total += np.count_nonzero(
-                    (is_high[:, 0] & high_tab[n1, n2]) | (is_low[:, 0] & low_tab[n1, n2])
+                    (tag_high & high_tab[n1, n2]) | (tag_low & low_tab[n1, n2])
                 )
             else:
                 success_total += float(
                     np.sum(n1 * high_tab[n1, n2] + n2 * low_tab[n1, n2])
                 ) / s.m
             rate_total += float(rate_tab[n1, n2].sum())
-            np.add.at(counts, (n1, n2), 1)
+            counts.update(zip(n1.tolist(), n2.tolist()))
         p_reps.append(success_total / cfg.slots)
         th_reps.append(rate_total / cfg.slots)
     root_r = math.sqrt(cfg.replications)
@@ -175,6 +201,14 @@ class TestDecodeTables:
         # three rows visited
         assert sorted(calls) == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 0)]
         assert high_ok.sum() == 2 and low_ok.sum() == 2
+        # sized by the decodable region plus the all-zero border, not by m
+        assert high_ok.shape[0] <= 3 and high_ok.shape[1] <= 3
+
+    def test_tables_do_not_grow_with_m(self):
+        tables = simulate._decode_tables.__wrapped__(
+            Scenario(m=100_000, v1=4.0, v2=1.5, gamma=1.3)
+        )
+        assert all(t.size < 100 for t in tables)
 
 
 class TestSimConfig:
@@ -214,7 +248,7 @@ class TestRunSimulation:
         assert a.p_success_hat == b.p_success_hat
         assert a.throughput_hat == b.throughput_hat
         assert a.stderr_p == b.stderr_p
-        assert np.array_equal(a.pair_counts, b.pair_counts)
+        assert a.pair_counts == b.pair_counts
 
     def test_different_seeds_differ(self):
         prof = PowerProfile(0.15, 0.1)
@@ -277,23 +311,55 @@ class TestRunSimulation:
 
     @pytest.mark.parametrize("estimator", ["tagged", "all-users"])
     def test_reused_chunk_buffers_match_fresh_arrays(self, monkeypatch, estimator):
-        # 2 500 slots in chunks of 700: three full chunks and a short one, so
-        # the buffers are reused and sliced
+        # 2 500 slots in chunks of 700: three full chunks and a short one
         cfg = SimConfig(slots=2_500, seed=41, replications=3, success_estimator=estimator)
         prof = PowerProfile(0.2, 0.15)
         monkeypatch.setattr(simulate, "_CHUNK_SLOTS", 700)
         stats = run_simulation(WIDE, prof, cfg)
         want, want_counts = chunked_reference(WIDE, prof, cfg, chunk=700)
         assert stats == want
-        assert np.array_equal(stats.pair_counts, want_counts)
-        # chunking does not change the uniforms drawn
+        assert stats.pair_counts == want_counts
+        # chunking does not change the draws
         _, unchunked_counts = chunked_reference(WIDE, prof, cfg, chunk=cfg.slots)
-        assert np.array_equal(stats.pair_counts, unchunked_counts)
+        assert stats.pair_counts == unchunked_counts
 
     def test_pair_counts_cover_all_slots(self):
         cfg = SimConfig(slots=7_500, seed=13, replications=2)
         stats = run_simulation(DEFAULTS, PowerProfile(0.3, 0.2), cfg)
-        assert stats.pair_counts.sum() == stats.slots_run == 15_000
+        assert stats.pair_counts.total() == stats.slots_run == 15_000
+
+    @pytest.mark.parametrize(
+        "tau1, tau2",
+        # 1 - tau1 == 0; tau2 / (1 - tau1) rounds to 1.0000000000000002; idle 0
+        [(1.0, 0.0), (0.9, 0.1), (0.1, 0.9)],
+    )
+    def test_simplex_edge_profiles_leave_nobody_idle(self, tau1, tau2):
+        cfg = SimConfig(slots=5_000, seed=23, replications=2)
+        stats = run_simulation(WIDE, PowerProfile(tau1, tau2), cfg)
+        assert stats.pair_counts.total() == stats.slots_run
+        assert all(n1 + n2 == WIDE.m for n1, n2 in stats.pair_counts)
+
+    def test_large_population_matches_analytics_within_three_sigma(self):
+        # m = 1e5 with one expected transmitter per power level and slot; the
+        # tagged estimator sees about four successes in all, the all-users
+        # estimator about 2e5
+        s = Scenario(m=100_000, v1=4.0, v2=1.5, gamma=1.3)
+        prof = PowerProfile(1e-5, 1e-5)
+        p = success_probability(s, prof)
+        th = average_throughput(s, prof)
+        for estimator in ("tagged", "all-users"):
+            cfg = SimConfig(
+                slots=100_000, seed=2026, replications=8, success_estimator=estimator
+            )
+            tracemalloc.start()
+            try:
+                stats = run_simulation(s, prof, cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 24 * 2**20, (estimator, peak)
+            assert abs(stats.p_success_hat - p) <= 3.0 * stats.stderr_p, estimator
+            assert abs(stats.throughput_hat - th) <= 3.0 * stats.stderr_th, estimator
 
     def test_empirical_frequencies_match_pmf(self):
         # cells with expected count >= 10; chi-square style screen
@@ -349,10 +415,10 @@ class TestSlotTrace:
         outcomes = {}
         for rep in range(cfg.replications):
             # one unchunked draw per replication
-            u = np.random.default_rng([cfg.seed, rep]).random((cfg.slots, WIDE.m))
-            n1s = (u < prof.tau1).sum(axis=1).tolist()
-            n2s = ((u >= prof.tau1) & (u < prof.tau1 + prof.tau2)).sum(axis=1).tolist()
-            for slot, pair in enumerate(zip(n1s, n2s)):
+            _, _, n1s, n2s = draw_slots(
+                replication_streams(cfg.seed, rep), prof, WIDE.m, cfg.slots
+            )
+            for slot, pair in enumerate(zip(n1s.tolist(), n2s.tolist())):
                 if pair not in outcomes:
                     outcomes[pair] = sic_decode(WIDE, *pair)
                 out = outcomes[pair]
