@@ -310,13 +310,16 @@ def cmd_simulate(args) -> int:
     th = average_throughput(s, prof)
     dp = abs(stats.p_success_hat - p)
     dth = abs(stats.throughput_hat - th)
+    # the stderr comes from the replications, so each ratio follows Student's
+    # t with replications - 1 degrees of freedom
+    dof = f"dof={scfg.replications - 1}"
     _say(
         f"p_success sim={_fmt6(stats.p_success_hat)} analytic={_fmt6(p)} "
-        f"|delta|/stderr={_fmt6(_sigma_ratio(dp, stats.stderr_p, p))}"
+        f"|delta|/stderr={_fmt6(_sigma_ratio(dp, stats.stderr_p, p))} {dof}"
     )
     _say(
         f"throughput sim={_fmt6(stats.throughput_hat)} analytic={_fmt6(th)} "
-        f"|delta|/stderr={_fmt6(_sigma_ratio(dth, stats.stderr_th, th))}"
+        f"|delta|/stderr={_fmt6(_sigma_ratio(dth, stats.stderr_th, th))} {dof}"
     )
     _emit(
         [

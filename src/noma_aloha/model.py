@@ -13,7 +13,9 @@ bandwidth.
 Everything here is a pure function of its arguments.  One summation table
 per scenario is cached (the last eight scenarios), and one kernel evaluates a
 whole batch of transmit probabilities over it, so the optimizer's scans stay
-cheap.
+cheap.  A coordinate that is the same for the whole batch (the fixed one of a
+scan, or both in a one-profile call) enters the kernel as one row computed
+once per call, and the kernel reduces only the columns its caller reads.
 """
 
 import math
@@ -281,41 +283,88 @@ def _terms(s: Scenario):
     return counts, log_coef, rate, decoded_users
 
 
+def _log(x) -> float:
+    """math.log of one probability, _LOG_ZERO at zero (or below)."""
+    return math.log(x) if x > 0.0 else _LOG_ZERO
+
+
 def _logs(t):
-    """math.log of each probability, _LOG_ZERO at zero (or below).  Not
-    np.log: its vectorised log may differ from math.log in the last place."""
-    return np.array([math.log(x) if x > 0.0 else _LOG_ZERO for x in t.tolist()])
+    """_log of each entry of a 1-D array.  math.log, not np.log: the
+    vectorised log may differ from math.log in the last place."""
+    out = np.full(t.shape, _LOG_ZERO)
+    pos = t > 0.0
+    out[pos] = np.fromiter(map(math.log, t[pos].tolist()), float)
+    return out
+
+
+def _sums(s: Scenario, tau1, tau2, weights, logs=(None, None)):
+    """Per-profile sums of ``w * pmf`` over the table, one (K,) array for
+    each weight column ``w`` of ``_terms(s)`` in ``weights``.
+
+    ``tau1`` and ``tau2`` are each a scalar, fixed for every profile, or a
+    (K,) array; ``logs`` may hold their logs already taken (the optimizer's
+    cached grid).  A profile's log mass is ``((log_coef + a) + b) + c`` with
+    a, b, c the count-weighted logs of tau1, tau2 and the idle probability.
+    Fixed terms from the left fold into one row, computed once per call, and
+    a fixed term after a varying one is one row added to every profile: the
+    same floats in the same order, so the bits do not depend on which
+    coordinates are fixed.
+    """
+    counts, log_coef = _terms(s)[:2]
+    # can round one ulp below zero on the simplex edge; _log takes that as 0
+    idle = (1.0 - tau1) - tau2
+    head, varying = log_coef, []
+    for t, log_t, n in zip((tau1, tau2, idle), (*logs, None), counts):
+        if isinstance(t, np.ndarray):
+            varying.append((_logs(t) if log_t is None else log_t, n))
+        elif varying:
+            varying.append((_log(t) * n, None))
+        else:
+            head = head + _log(t) * n
+    if not varying:  # one profile: the row is its log mass
+        pmf = np.exp(head)
+        return [np.sum(w * pmf, keepdims=True) for w in weights]
+    (first, first_n), *rest = varying
+    k = first.size
+    sums = [np.empty(k) for _ in weights]
+    rows = max(1, min(k, _BLOCK_ELEMENTS // max(1, log_coef.size)))
+    # two blocks of temporaries serve the whole call
+    log_p_buf, term_buf = np.empty((2, rows, log_coef.size))
+    for a in range(0, k, rows):
+        block = slice(a, a + rows)
+        log_p, term = log_p_buf[: k - a], term_buf[: k - a]
+        np.multiply.outer(first[block], first_n, out=log_p)
+        log_p += head
+        for x, n in rest:
+            log_p += x if n is None else np.multiply.outer(x[block], n, out=term)
+        pmf = np.exp(log_p, out=log_p)
+        for out, w in zip(sums, weights):
+            np.add.reduce(np.multiply(pmf, w, out=term), axis=1, out=out[block])
+    return sums
+
+
+def _throughput(s: Scenario, tau1, tau2, logs=(None, None)):
+    """The throughput column of ``_sums``: a (K,) array."""
+    return _sums(s, tau1, tau2, (_terms(s)[2],), logs)[0]
 
 
 def _evaluate(s: Scenario, tau1, tau2):
     """Throughput and success probability of K profiles at once.
 
     ``tau1`` and ``tau2`` are arrays (or scalars) broadcast to shape (K,);
-    returns two (K,) arrays.  This is the one evaluation kernel: every
-    throughput and success probability of the package comes from it.  Each
-    profile's trinomial log masses are summed in the same order, its logs are
-    taken by ``math.log`` and each row is reduced by ``np.sum`` (pairwise),
-    so a profile's values do not depend on the batch it is evaluated in.
+    returns two (K,) arrays.  Both columns of the one evaluation kernel,
+    ``_sums``, from which every throughput and success probability of the
+    package comes.  Each profile's trinomial log masses are summed in the
+    same order, its logs are taken by ``math.log`` and each row is reduced by
+    ``np.add.reduce`` (pairwise, as ``np.sum``), so a profile's values do not
+    depend on the batch it is evaluated in, nor on which coordinate is
+    fixed: a scalar (or single) coordinate gives one row for the whole batch.
     """
-    tau1 = np.array(tau1, dtype=float, ndmin=1)
-    tau2 = np.array(tau2, dtype=float, ndmin=1)
-    # can round one ulp below zero on the simplex edge; _logs takes that as 0
-    idle = 1.0 - tau1 - tau2
-    logs = [_logs(t) for t in (tau1, tau2, idle)]
-    logs = [x if x.size == idle.size else np.full(idle.size, x[0]) for x in logs]
-    counts, log_coef, rate, decoded_users = _terms(s)
-    th = np.empty(idle.size)
-    p = np.empty(idle.size)
-    rows = max(1, _BLOCK_ELEMENTS // max(1, rate.size))
-    for a in range(0, idle.size, rows):
-        block = slice(a, a + rows)
-        log_p = log_coef + np.multiply.outer(logs[0][block], counts[0])
-        log_p += np.multiply.outer(logs[1][block], counts[1])
-        log_p += np.multiply.outer(logs[2][block], counts[2])
-        pmf = np.exp(log_p, out=log_p)
-        th[block] = np.sum(rate * pmf, axis=1)
-        p[block] = np.sum(decoded_users * pmf, axis=1) / s.m
-    return th, p
+    tau1, tau2 = (np.array(t, dtype=float, ndmin=1) for t in (tau1, tau2))
+    tau1, tau2 = (t[0] if t.size == 1 else t for t in (tau1, tau2))
+    _, _, rate, decoded_users = _terms(s)
+    th, users = _sums(s, tau1, tau2, (rate, decoded_users))
+    return th, users / s.m
 
 
 def success_probability(s: Scenario, prof: PowerProfile) -> float:
@@ -324,7 +373,8 @@ def success_probability(s: Scenario, prof: PowerProfile) -> float:
     Users are exchangeable, so this is the expected number of decoded users
     per slot divided by m, summed over the same table as the throughput.
     """
-    return float(_evaluate(s, prof.tau1, prof.tau2)[1][0])
+    users = _sums(s, prof.tau1, prof.tau2, (_terms(s)[3],))[0]
+    return float(users[0] / s.m)
 
 
 def cond_sum_rate_high(s: Scenario, pair: CountPair) -> float:
@@ -367,7 +417,7 @@ def average_throughput(s: Scenario, prof: PowerProfile) -> float:
     low layer then fails; the low layer's region already requires the high
     layer decoded.
     """
-    return float(_evaluate(s, prof.tau1, prof.tau2)[0][0])
+    return float(_throughput(s, prof.tau1, prof.tau2)[0])
 
 
 def baseline_success(s: Scenario, p: float) -> float:

@@ -5,15 +5,19 @@ over the decodable count regions and can be multimodal, so the search is
 derivative-free: alternating 1-D maximisations (coarse grid scan plus bracket
 refinement) until the improvement drops below a tolerance.  An exhaustive
 simplex grid search doubles as a validation oracle.  Both evaluate their
-sample points in batches through the model's one evaluation kernel.
+sample points in batches through the model's one evaluation kernel, reducing
+only the throughput.  Every coarse scan, and every oracle row, starts with the
+points k*step from 0; those points and their logs are taken once per step and
+cached, and each scan takes a prefix of them.
 """
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .model import Scenario, _evaluate
+from .model import Scenario, _log, _logs, _throughput
 
 # not called here any more: the benchmark's layer probe and traced runs patch
 # ``optimize.average_throughput`` by name, so the name stays importable
@@ -86,40 +90,63 @@ class OptimizationResult:
 _SCAN_PIECE = 1 << 16
 
 
-def _samples(lo, end, step, keep, tail=()):
-    """lo + k*step for k = 0, 1, ... while keep(x) holds, then ``tail``, in
-    pieces of at most _SCAN_PIECE points.
+@lru_cache(maxsize=1)
+def _grid_points(step, size):
+    xs = np.arange(size) * step
+    logs = _logs(xs)
+    xs.flags.writeable = logs.flags.writeable = False
+    return xs, logs
+
+
+def _grid(step):
+    """The points k*step, k = 0, 1, ..., that every scan from 0 with this
+    step starts with, and their logs.  Enough points to pass 1, but at most
+    _SCAN_PIECE (read at call time); cached for the last step asked for."""
+    return _grid_points(step, int(min(_SCAN_PIECE, 1.0 / step + 2)))
+
+
+def _samples(lo, end, step, keep, tail=(), grid=None):
+    """Pairs (xs, logs): xs holds lo + k*step for k = 0, 1, ... while keep(x)
+    holds, then ``tail``, in pieces of at most _SCAN_PIECE points.
 
     numpy forms k*step and the sum in the same floats as the scalar loop
     ``x = lo + k * step``; ``end`` estimates where keep first fails and only
-    sizes the pieces.
+    sizes the pieces.  ``grid``, from ``_grid(step)`` when lo == 0, supplies
+    the first piece with its logs; other pieces come with logs None.
     """
     size = int(min(_SCAN_PIECE, (end - lo) / step + 3))
     k = 0
     while True:
-        xs = lo + np.arange(k, k + size) * step
+        if k == 0 and grid is not None:
+            xs, logs = grid
+        else:
+            xs, logs = lo + np.arange(k, k + size) * step, None
         n = int(np.count_nonzero(keep(xs)))  # a prefix: xs never decreases
-        if n < size:
-            xs = np.append(xs[:n], tail)
+        if n < xs.size:
+            xs = np.concatenate((xs[:n], tail))
+            if logs is not None:
+                logs = np.concatenate((logs[:n], [_log(x) for x in tail]))
             if xs.size:
-                yield xs
+                yield xs, logs
             return
-        yield xs
-        k += size
+        yield xs, logs
+        k += xs.size
 
 
-def _scan(f, lo, hi, step):
+def _scan(f, lo, hi, step, grid=None):
     """Maximise f on [lo, hi] sampled at lo + k*step plus the hi endpoint.
 
-    f maps an array of arguments to an array of values.  Ties keep the first
-    (smallest) argument, as np.argmax does, so results are deterministic.
+    f maps an array of arguments and their logs (None when not taken yet)
+    to an array of values; ``grid`` is passed on to ``_samples``.  Ties keep
+    the first (smallest) argument, as np.argmax does, so results are
+    deterministic.
     """
-    pieces = [np.array([lo])]
+    pieces = [(np.array([lo]), None)]
     if hi > lo:
-        pieces = _samples(lo, hi, step, lambda x: x < hi, tail=[hi])
+        pieces = _samples(lo, hi, step, lambda x: x < hi, tail=[hi], grid=grid)
     best_x, best_f = lo, -math.inf
-    for xs in pieces:
-        fx = f(xs)
+    for xs, logs in pieces:
+        fx = f(xs, logs)
         i = int(np.argmax(fx))
         if fx[i] > best_f:
             best_x, best_f = float(xs[i]), float(fx[i])
@@ -127,7 +154,7 @@ def _scan(f, lo, hi, step):
 
 
 def _maximize_1d(f, hi, cfg: AscentConfig):
-    x, fx = _scan(f, 0.0, hi, cfg.grid_step)
+    x, fx = _scan(f, 0.0, hi, cfg.grid_step, _grid(cfg.grid_step))
     width = cfg.grid_step
     for _ in range(cfg.refine_rounds):
         lo_r = max(0.0, x - width)
@@ -141,13 +168,16 @@ def _maximize_1d(f, hi, cfg: AscentConfig):
 
 def _maximize_over(s: Scenario, axis: int, fixed: float, cfg: AscentConfig | None):
     """Best value of coordinate ``axis`` (0: tau1, 1: tau2) in [0, 1 - fixed]
-    with the other coordinate held at ``fixed``, and the attained throughput."""
+    with the other coordinate held at ``fixed``, and the attained throughput.
+    Only the throughput column of the table is reduced."""
     cfg = cfg or AscentConfig()
     if not 0.0 <= fixed <= 1.0:
         raise ValueError(f"{('tau2', 'tau1')[axis]} must lie in [0, 1]")
 
-    def throughput(xs):
-        return _evaluate(s, *((xs, fixed) if axis == 0 else (fixed, xs)))[0]
+    def throughput(xs, logs):
+        if axis == 0:
+            return _throughput(s, xs, fixed, logs=(logs, None))
+        return _throughput(s, fixed, xs, logs=(None, logs))
 
     return _maximize_1d(throughput, 1.0 - fixed, cfg)
 
@@ -218,10 +248,12 @@ def grid_search_oracle(s: Scenario, step: float) -> OptimizationResult:
         raise ValueError("step must lie in (0, 0.1]")
     best_th = -1.0
     best = (0.0, 0.0)
+    grid = _grid(step)
     i = 0
     while (tau1 := i * step) <= 1.0:
-        for tau2 in _samples(0.0, 1.0 - tau1, step, lambda x: tau1 + x <= 1.0):
-            th = _evaluate(s, tau1, tau2)[0]
+        row = _samples(0.0, 1.0 - tau1, step, lambda x: tau1 + x <= 1.0, grid=grid)
+        for tau2, logs in row:
+            th = _throughput(s, tau1, tau2, logs=(None, logs))
             j = int(np.argmax(th))
             if th[j] > best_th:
                 best_th, best = float(th[j]), (tau1, float(tau2[j]))

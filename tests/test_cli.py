@@ -174,6 +174,18 @@ class TestSimulate:
         assert rec["p_abs_delta"] == abs(rec["p_success_sim"] - rec["p_success_analytic"])
         assert rec["p_delta_over_stderr"] <= 4.0
 
+    def test_summary_reports_degrees_of_freedom(self, capsys):
+        # |delta|/stderr follows Student's t with replications - 1 dof
+        code, _, err = run_cli(
+            ["simulate", "--tau1", "0.1", "--tau2", "0.1", "--slots", "2000",
+             "--replications", "5", "--seed", "7"],
+            capsys,
+        )
+        assert code == 0
+        lines = err.splitlines()
+        assert [line.split()[0] for line in lines] == ["p_success", "throughput"]
+        assert all(line.endswith(" dof=4") for line in lines)
+
     def test_nan_profile_exits_2(self, capsys):
         code, out, err = run_cli(["simulate", "--tau1", "nan", "--slots", "10"], capsys)
         assert code == 2

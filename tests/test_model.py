@@ -366,6 +366,25 @@ class TestEvaluationKernel:
                     th.tolist(),
                     p.tolist(),
                 ]
+        # one coordinate passed as a Python float, against the batch's other
+        # coordinates where the pair stays on the simplex: one fixed row
+        for fixed in {profs[0].tau1, profs[-1].tau1}:
+            TestEvaluationKernel.check_fixed(s, 0, fixed, [q.tau2 for q in profs])
+        for fixed in {profs[0].tau2, profs[-1].tau2}:
+            TestEvaluationKernel.check_fixed(s, 1, fixed, [q.tau1 for q in profs])
+
+    @staticmethod
+    def check_fixed(s, axis, fixed, others):
+        others = [x for x in others if fixed + x <= 1.0]
+        profs = [PowerProfile(*((fixed, x) if axis == 0 else (x, fixed))) for x in others]
+        expected = [reference_evaluate(s, prof) for prof in profs]
+        xs = np.array(others)
+        args = (fixed, xs) if axis == 0 else (xs, fixed)
+        th, p = model._evaluate(s, *args)
+        assert list(zip(th.tolist(), p.tolist())) == expected
+        # the kernel itself, given the float as it is and a batch of any size
+        th, users = model._sums(s, *args, model._terms(s)[2:])
+        assert list(zip(th.tolist(), (users / s.m).tolist())) == expected
 
     @given(st.integers(0, 2**32 - 1), st.lists(edge_profiles(), min_size=1, max_size=30))
     @settings(max_examples=60, deadline=None)

@@ -7,7 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from noma_aloha import optimize
+from noma_aloha import model, optimize
 from noma_aloha.model import PowerProfile, Scenario, _evaluate, average_throughput
 from noma_aloha.optimize import (
     AscentConfig,
@@ -110,7 +110,7 @@ class TestBatchedScan:
     @pytest.mark.parametrize("lo, hi, step", CASES)
     @pytest.mark.parametrize("s", [DEFAULTS, SINGLE, EMPTY, Scenario(50, 20.0, 2.0, 0.3)])
     def test_matches_reference_loop(self, s, lo, hi, step):
-        got = optimize._scan(lambda xs: _evaluate(s, 0.0, xs)[0], lo, hi, step)
+        got = optimize._scan(lambda xs, _: _evaluate(s, 0.0, xs)[0], lo, hi, step)
         want = reference_scan(
             lambda x: average_throughput(s, PowerProfile(0.0, x)), lo, hi, step
         )
@@ -122,8 +122,92 @@ class TestBatchedScan:
         # a staircase with long runs of equal values; pieces of 4 end exactly
         # on the last sample below hi in the (0, 0.5, 0.125) case
         with mock.patch.object(optimize, "_SCAN_PIECE", piece):
-            got = optimize._scan(lambda xs: np.floor(xs * 3.0), lo, hi, step)
+            got = optimize._scan(lambda xs, _: np.floor(xs * 3.0), lo, hi, step)
         assert got == reference_scan(lambda x: float(math.floor(x * 3.0)), lo, hi, step)
+
+
+class TestGridScan:
+    """Scans from 0 start with the cached grid and its logs, and still visit
+    the scalar loop's floats and keep its argmax."""
+
+    CASES = [
+        (1.0, 1e-3),  # the ascent's coarse scan with the other coordinate at 0
+        (0.9, 1e-3),  # ... and away from 0
+        (0.7, 0.3),  # the step does not divide the span
+        (0.5, 0.125),  # 4*step lands exactly on hi
+        (0.35, 0.05),
+    ]
+
+    @staticmethod
+    def kernel(s, axis, fixed):
+        if axis == 0:
+            return lambda xs, logs: model._throughput(s, xs, fixed, logs=(logs, None))
+        return lambda xs, logs: model._throughput(s, fixed, xs, logs=(None, logs))
+
+    @pytest.mark.parametrize("hi, step", CASES)
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("s", [DEFAULTS, EMPTY, Scenario(50, 20.0, 2.0, 0.3)])
+    def test_matches_reference_loop(self, s, axis, hi, step):
+        fixed = 1.0 - hi
+        got = optimize._scan(self.kernel(s, axis, fixed), 0.0, hi, step, optimize._grid(step))
+        profile = (lambda x: PowerProfile(x, fixed)) if axis == 0 else (lambda x: PowerProfile(fixed, x))
+        want = reference_scan(lambda x: average_throughput(s, profile(x)), 0.0, hi, step)
+        assert got == want
+
+    @pytest.mark.parametrize("piece", [1, 7, 64])
+    def test_scan_longer_than_the_grid(self, piece):
+        # a grid of `piece` points, then fresh pieces without logs
+        s = Scenario(50, 20.0, 2.0, 0.3)
+        want = reference_scan(
+            lambda x: average_throughput(s, PowerProfile(0.01, x)), 0.0, 0.99, 1e-3
+        )
+        with mock.patch.object(optimize, "_SCAN_PIECE", piece):
+            grid = optimize._grid(1e-3)
+            assert grid[0].size == piece
+            got = optimize._scan(self.kernel(s, 1, 0.01), 0.0, 0.99, 1e-3, grid)
+        assert got == want
+
+    def test_grid_points_are_the_scan_floats(self):
+        for step in (1e-3, 0.01, 0.3, 0.125):
+            xs, logs = optimize._grid(step)
+            assert xs.tolist() == [k * step for k in range(xs.size)]
+            assert logs.tolist() == [model._log(x) for x in xs.tolist()]
+            assert xs[-1] > 1.0 and not xs.flags.writeable
+
+    def test_cache_stays_bounded_on_a_fine_step(self):
+        # 500 001 coarse points: the grid keeps the first _SCAN_PIECE, the
+        # rest are scanned in fresh pieces
+        optimize._grid_points.cache_clear()
+        tracemalloc.start()
+        try:
+            tau2, th = maximize_over_tau2(DEFAULTS, 0.0, AscentConfig(grid_step=2e-6))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert th > 0.0
+        assert peak < 8 * 2**20, peak
+        assert optimize._grid_points.cache_info().currsize == 1
+        assert optimize._grid(2e-6)[0].size == optimize._SCAN_PIECE
+
+
+# float.hex of (tau1_star, tau2_star, th_star) for m = 50, v1 = 20, v2 = 2,
+# recorded from the batched kernel before fixed coordinates became one row
+# and the coarse grid's logs were cached: both must leave every bit in place
+PINNED = {
+    (0.173, True): ("0x1.149a5657fb69ap-4", "0x1.7396d0917d6b5p-5", "0x1.645ce3e7d7f17p+2"),
+    (0.173, False): ("0x1.149a5657fb69ap-4", "0x1.7396d0917d6b5p-5", "0x1.645ce3e7d7f17p+2"),
+    (0.693, True): ("0x1.d3ed527e52158p-6", "0x1.50dae3e6c4c5ap-8", "0x1.736f45ae59d60p+1"),
+    (0.693, False): ("0x1.d3ed527e52158p-6", "0x1.50dae3e6c4c5ap-8", "0x1.736f45ae59d60p+1"),
+    (1.603, True): ("0x1.23f67f4dbdf8fp-6", "0x1.32b55ef1fddecp-7", "0x1.c3fa22b3516f8p+0"),
+    (1.603, False): ("0x1.2378ab0c88a48p-6", "0x1.33b107746887bp-7", "0x1.c3fa0a56bdcb9p+0"),
+}
+
+
+@pytest.mark.parametrize("gamma, dual_start", sorted(PINNED))
+def test_ascent_endpoints_are_pinned(gamma, dual_start):
+    res = coordinate_ascent(Scenario(50, 20.0, 2.0, gamma), AscentConfig(dual_start=dual_start))
+    got = tuple(x.hex() for x in (res.tau1_star, res.tau2_star, res.th_star))
+    assert got == PINNED[gamma, dual_start]
 
 
 class TestCoordinateAscent:
