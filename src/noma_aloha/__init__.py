@@ -24,8 +24,6 @@ from .optimize import (
     OptimizationResult,
     coordinate_ascent,
     grid_search_oracle,
-    maximize_over_tau1,
-    maximize_over_tau2,
 )
 from .simulate import (
     SimConfig,
@@ -56,8 +54,6 @@ __all__ = [
     "baseline_optimum",
     "AscentConfig",
     "OptimizationResult",
-    "maximize_over_tau1",
-    "maximize_over_tau2",
     "coordinate_ascent",
     "grid_search_oracle",
     "SlotOutcome",

@@ -1,9 +1,16 @@
-"""Command-line front end: point analysis, optimisation, simulation, sweeps.
+"""Command-line front end, the package's only one.
+
+Subcommands: ``region`` (decodable count pairs), ``analyze`` (one transmit
+profile), ``optimize`` (the ascent, plus ``--oracle``, ``--baseline`` or
+``--trace``), ``simulate`` (Monte Carlo against the closed forms) and
+``sweep`` (one axis, plus ``--simulate`` and ``--optimize`` columns).
 
 Machine-readable rows (CSV or JSON) go to stdout or --output; human-readable
 summaries go to stderr.  Configuration precedence: command-line flags override
 config-file values, which override the built-in defaults (m=10, v1=4, v2=1.5,
-gamma=1.5).  Exit codes: 0 success, 2 configuration error, 3 internal error.
+gamma=1.5).  A flag that sets an ``ExperimentConfig`` or ``AscentConfig``
+field has the field's name as its dest.  Input is validated before any work
+starts.  Exit codes: 0 success, 2 configuration error, 3 internal error.
 """
 
 import argparse
@@ -13,12 +20,13 @@ import json
 import math
 import sys
 import typing
-from dataclasses import Field, dataclass, fields, replace
+from dataclasses import Field, asdict, dataclass, fields, replace
 
 from .model import (
     CountPair,
     PowerProfile,
     Scenario,
+    _baseline_throughput,
     average_throughput,
     baseline_optimum,
     baseline_success,
@@ -26,7 +34,12 @@ from .model import (
     region_bounds,
     success_probability,
 )
-from .optimize import AscentConfig, coordinate_ascent, grid_search_oracle
+from .optimize import (
+    AscentConfig,
+    _check_oracle_step,
+    coordinate_ascent,
+    grid_search_oracle,
+)
 from .simulate import SimConfig, run_simulation
 
 __all__ = ["main", "ExperimentConfig", "ConfigError"]
@@ -90,19 +103,26 @@ def _convert(f: Field, raw: str):
         ) from None
 
 
+def _given(args: argparse.Namespace, cls) -> dict:
+    """The fields of dataclass ``cls`` that were set on the command line:
+    each flag's dest is the field it sets, and an unset flag reads None."""
+    return {
+        f.name: getattr(args, f.name)
+        for f in fields(cls)
+        if getattr(args, f.name, None) is not None
+    }
+
+
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
     """Merge defaults, config file and command-line flags, in that order."""
     cfg = ExperimentConfig()
-    by_name = {f.name: f for f in fields(cfg)}
     if getattr(args, "config", None):
+        by_name = {f.name: f for f in fields(cfg)}
         for key, raw in _parse_config_file(args.config).items():
             if key not in by_name:
                 raise ConfigError(f"unknown config key '{key}'")
             setattr(cfg, key, _convert(by_name[key], raw))
-    for key in by_name:
-        val = getattr(args, key, None)
-        if val is not None:
-            setattr(cfg, key, val)
+    cfg = replace(cfg, **_given(args, ExperimentConfig))
     if cfg.format not in ("csv", "json"):
         raise ConfigError("format must be 'csv' or 'json'")
     return cfg
@@ -133,23 +153,6 @@ def _sim_config(cfg: ExperimentConfig, estimator: str) -> SimConfig:
         replications=cfg.replications,
         success_estimator=estimator,
     )
-
-
-def _ascent_config(args: argparse.Namespace) -> AscentConfig:
-    kwargs = {}
-    for field_name, attr in (
-        ("epsilon", "epsilon"),
-        ("max_outer_iterations", "max_iterations"),
-        ("grid_step", "grid_step"),
-        ("refine_rounds", "refine_rounds"),
-        ("initial_tau1", "initial_tau1"),
-    ):
-        val = getattr(args, attr, None)
-        if val is not None:
-            kwargs[field_name] = val
-    if getattr(args, "single_start", False):
-        kwargs["dual_start"] = False
-    return _checked(AscentConfig, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -227,28 +230,16 @@ def cmd_analyze(args) -> int:
     p = success_probability(s, prof)
     th = average_throughput(s, prof)
     _say(f"p_success={_fmt6(p)} th_avg={_fmt6(th)}")
-    _emit(
-        [
-            {
-                "m": s.m,
-                "v1": s.v1,
-                "v2": s.v2,
-                "gamma": s.gamma,
-                "tau1": prof.tau1,
-                "tau2": prof.tau2,
-                "p_success": p,
-                "th_avg": th,
-            }
-        ],
-        cfg,
-    )
+    _emit([{**asdict(s), **asdict(prof), "p_success": p, "th_avg": th}], cfg)
     return 0
 
 
 def cmd_optimize(args) -> int:
     cfg = build_config(args)
     s = _scenario(cfg)
-    acfg = _ascent_config(args)
+    acfg = _checked(AscentConfig, **_given(args, AscentConfig))
+    if args.oracle:
+        _checked(_check_oracle_step, step=args.oracle_step)
     res = coordinate_ascent(s, acfg)
     _say(
         f"tau1*={_fmt6(res.tau1_star)} tau2*={_fmt6(res.tau2_star)} "
@@ -263,10 +254,7 @@ def cmd_optimize(args) -> int:
         _emit(rows, cfg)
         return 0
     row = {
-        "m": s.m,
-        "v1": s.v1,
-        "v2": s.v2,
-        "gamma": s.gamma,
+        **asdict(s),
         "tau1_star": res.tau1_star,
         "tau2_star": res.tau2_star,
         "th_star": res.th_star,
@@ -310,43 +298,37 @@ def cmd_simulate(args) -> int:
     th = average_throughput(s, prof)
     dp = abs(stats.p_success_hat - p)
     dth = abs(stats.throughput_hat - th)
+    p_ratio = _sigma_ratio(dp, stats.stderr_p, p)
+    th_ratio = _sigma_ratio(dth, stats.stderr_th, th)
     # the stderr comes from the replications, so each ratio follows Student's
     # t with replications - 1 degrees of freedom
     dof = f"dof={scfg.replications - 1}"
     _say(
         f"p_success sim={_fmt6(stats.p_success_hat)} analytic={_fmt6(p)} "
-        f"|delta|/stderr={_fmt6(_sigma_ratio(dp, stats.stderr_p, p))} {dof}"
+        f"|delta|/stderr={_fmt6(p_ratio)} {dof}"
     )
     _say(
         f"throughput sim={_fmt6(stats.throughput_hat)} analytic={_fmt6(th)} "
-        f"|delta|/stderr={_fmt6(_sigma_ratio(dth, stats.stderr_th, th))} {dof}"
+        f"|delta|/stderr={_fmt6(th_ratio)} {dof}"
     )
-    _emit(
-        [
-            {
-                "m": s.m,
-                "v1": s.v1,
-                "v2": s.v2,
-                "gamma": s.gamma,
-                "tau1": prof.tau1,
-                "tau2": prof.tau2,
-                "slots": scfg.slots,
-                "replications": scfg.replications,
-                "seed": scfg.seed,
-                "p_success_sim": stats.p_success_hat,
-                "p_success_analytic": p,
-                "p_abs_delta": dp,
-                "p_stderr": stats.stderr_p,
-                "p_delta_over_stderr": _sigma_ratio(dp, stats.stderr_p, p),
-                "th_sim": stats.throughput_hat,
-                "th_analytic": th,
-                "th_abs_delta": dth,
-                "th_stderr": stats.stderr_th,
-                "th_delta_over_stderr": _sigma_ratio(dth, stats.stderr_th, th),
-            }
-        ],
-        cfg,
-    )
+    row = {
+        **asdict(s),
+        **asdict(prof),
+        "slots": scfg.slots,
+        "replications": scfg.replications,
+        "seed": scfg.seed,
+        "p_success_sim": stats.p_success_hat,
+        "p_success_analytic": p,
+        "p_abs_delta": dp,
+        "p_stderr": stats.stderr_p,
+        "p_delta_over_stderr": p_ratio,
+        "th_sim": stats.throughput_hat,
+        "th_analytic": th,
+        "th_abs_delta": dth,
+        "th_stderr": stats.stderr_th,
+        "th_delta_over_stderr": th_ratio,
+    }
+    _emit([row], cfg)
     return 0
 
 
@@ -397,18 +379,21 @@ def cmd_sweep(args) -> int:
     if cfg.axis == "p_baseline" and (args.simulate or args.optimize):
         raise ConfigError("axis p_baseline supports neither --simulate nor --optimize")
     points = [_sweep_point(cfg, v) for v in values]  # validate all before output
-    acfg = _ascent_config(args) if args.optimize else None
+    acfg = (
+        _checked(AscentConfig, **_given(args, AscentConfig)) if args.optimize else None
+    )
+    scfg = _sim_config(cfg, args.estimator) if args.simulate else None
     rows = []
     for value, (s, prof) in zip(values, points):
         if cfg.axis == "p_baseline":
             p = baseline_success(s, value)
-            th = math.log2(1.0 + s.v1) * p
+            th = _baseline_throughput(s, value)
         else:
             p = success_probability(s, prof)
             th = average_throughput(s, prof)
         row = {cfg.axis: value, "p_success": p, "th_avg": th}
         if args.simulate:
-            stats = run_simulation(s, prof, _sim_config(cfg, args.estimator))
+            stats = run_simulation(s, prof, scfg)
             row["p_success_sim"] = stats.p_success_hat
             row["th_sim"] = stats.throughput_hat
             row["stderr_p"] = stats.stderr_p
@@ -461,43 +446,25 @@ def _add_output_args(p: argparse.ArgumentParser):
 
 def _add_ascent_args(p: argparse.ArgumentParser):
     p.add_argument("--epsilon", type=float, help="improvement tolerance")
-    p.add_argument("--max-iterations", type=int, dest="max_iterations")
-    p.add_argument("--grid-step", type=float, dest="grid_step")
-    p.add_argument("--refine-rounds", type=int, dest="refine_rounds")
-    p.add_argument("--initial-tau1", type=float, dest="initial_tau1")
+    p.add_argument(
+        "--max-iterations", type=int, dest="max_outer_iterations", metavar="MAX_ITERATIONS"
+    )
+    p.add_argument("--grid-step", type=float)
+    p.add_argument("--refine-rounds", type=int)
+    p.add_argument("--initial-tau1", type=float)
     p.add_argument(
         "--single-start",
-        action="store_true",
+        action="store_false",
+        dest="dual_start",
+        default=None,
         help="run only the reference coordinate order",
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="noma-aloha",
-        description="Two-power NOMA slotted ALOHA: analysis, optimisation, simulation.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("region", help="enumerate decodable count pairs")
-    _add_scenario_args(p)
-    _add_output_args(p)
-    p.set_defaults(func=cmd_region)
-
-    p = sub.add_parser("analyze", help="success probability and throughput at a point")
-    _add_scenario_args(p)
-    _add_profile_args(p)
-    _add_output_args(p)
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("optimize", help="maximise throughput over (tau1, tau2)")
-    _add_scenario_args(p)
-    _add_output_args(p)
-    _add_ascent_args(p)
+def _add_optimize_args(p: argparse.ArgumentParser):
     p.add_argument("--oracle", action="store_true", help="also run the grid oracle")
     p.add_argument(
-        "--oracle-step", type=float, default=0.01, dest="oracle_step",
-        help="grid oracle step (default 0.01)",
+        "--oracle-step", type=float, default=0.01, help="grid oracle step (default 0.01)"
     )
     p.add_argument(
         "--baseline", action="store_true", help="also print the single-power optimum"
@@ -505,23 +472,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--trace", action="store_true", help="emit the ascent trace instead of the summary"
     )
-    p.set_defaults(func=cmd_optimize)
 
-    p = sub.add_parser("simulate", help="Monte Carlo run with analytic comparison")
-    _add_scenario_args(p)
-    _add_profile_args(p)
-    _add_sim_args(p)
-    _add_output_args(p)
-    p.add_argument("--trace-file", dest="trace_file", help="per-slot CSV trace path")
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("sweep", help="one-axis parameter sweep")
-    _add_scenario_args(p)
-    _add_profile_args(p)
-    _add_sim_args(p)
-    _add_output_args(p)
-    _add_ascent_args(p)
-    p.add_argument("--axis", choices=None, help=f"sweep axis, one of {', '.join(SWEEP_AXES)}")
+def _add_trace_file_arg(p: argparse.ArgumentParser):
+    p.add_argument("--trace-file", help="per-slot CSV trace path")
+
+
+def _add_sweep_args(p: argparse.ArgumentParser):
+    p.add_argument("--axis", help=f"sweep axis, one of {', '.join(SWEEP_AXES)}")
     p.add_argument("--start", type=float)
     p.add_argument("--stop", type=float)
     p.add_argument("--step", type=float)
@@ -531,8 +489,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--optimize", action="store_true", help="add optimised profile columns per point"
     )
-    p.set_defaults(func=cmd_sweep)
 
+
+# subcommand, its help line, its handler and its option groups in help order
+_COMMANDS = (
+    ("region", "enumerate decodable count pairs", cmd_region, (
+        _add_scenario_args, _add_output_args)),
+    ("analyze", "success probability and throughput at a point", cmd_analyze, (
+        _add_scenario_args, _add_profile_args, _add_output_args)),
+    ("optimize", "maximise throughput over (tau1, tau2)", cmd_optimize, (
+        _add_scenario_args, _add_output_args, _add_ascent_args, _add_optimize_args)),
+    ("simulate", "Monte Carlo run with analytic comparison", cmd_simulate, (
+        _add_scenario_args, _add_profile_args, _add_sim_args, _add_output_args,
+        _add_trace_file_arg)),
+    ("sweep", "one-axis parameter sweep", cmd_sweep, (
+        _add_scenario_args, _add_profile_args, _add_sim_args, _add_output_args,
+        _add_ascent_args, _add_sweep_args)),
+)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="noma-aloha",
+        description="Two-power NOMA slotted ALOHA: analysis, optimisation, simulation.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, summary, func, groups in _COMMANDS:
+        p = sub.add_parser(name, help=summary)
+        for add_args in groups:
+            add_args(p)
+        p.set_defaults(func=func)
     return parser
 
 

@@ -427,9 +427,15 @@ def baseline_success(s: Scenario, p: float) -> float:
     return p * (1.0 - p) ** (s.m - 1)
 
 
+def _baseline_throughput(s: Scenario, p: float) -> float:
+    """System throughput of single-power slotted ALOHA at transmit probability
+    p: each of the m users earns rate log2(1 + v1) when it transmits alone, so
+    it compares with ``average_throughput``."""
+    return s.m * math.log2(1.0 + s.v1) * baseline_success(s, p)
+
+
 def baseline_optimum(s: Scenario) -> tuple[float, float]:
     """Optimal transmit probability 1/m of the single-power baseline and the
-    throughput it attains at rate log2(1 + v1)."""
+    system throughput it attains."""
     p_star = 1.0 / s.m
-    th_star = math.log2(1.0 + s.v1) * baseline_success(s, p_star)
-    return p_star, th_star
+    return p_star, _baseline_throughput(s, p_star)

@@ -26,8 +26,6 @@ from .model import average_throughput  # noqa: F401
 __all__ = [
     "AscentConfig",
     "OptimizationResult",
-    "maximize_over_tau1",
-    "maximize_over_tau2",
     "coordinate_ascent",
     "grid_search_oracle",
 ]
@@ -166,11 +164,10 @@ def _maximize_1d(f, hi, cfg: AscentConfig):
     return x, fx
 
 
-def _maximize_over(s: Scenario, axis: int, fixed: float, cfg: AscentConfig | None):
+def _maximize_over(s: Scenario, axis: int, fixed: float, cfg: AscentConfig):
     """Best value of coordinate ``axis`` (0: tau1, 1: tau2) in [0, 1 - fixed]
     with the other coordinate held at ``fixed``, and the attained throughput.
     Only the throughput column of the table is reduced."""
-    cfg = cfg or AscentConfig()
     if not 0.0 <= fixed <= 1.0:
         raise ValueError(f"{('tau2', 'tau1')[axis]} must lie in [0, 1]")
 
@@ -180,16 +177,6 @@ def _maximize_over(s: Scenario, axis: int, fixed: float, cfg: AscentConfig | Non
         return _throughput(s, fixed, xs, logs=(None, logs))
 
     return _maximize_1d(throughput, 1.0 - fixed, cfg)
-
-
-def maximize_over_tau2(s: Scenario, tau1: float, cfg: AscentConfig | None = None):
-    """Best tau2 in [0, 1 - tau1] for fixed tau1, with the attained throughput."""
-    return _maximize_over(s, 1, tau1, cfg)
-
-
-def maximize_over_tau1(s: Scenario, tau2: float, cfg: AscentConfig | None = None):
-    """Best tau1 in [0, 1 - tau2] for fixed tau2, with the attained throughput."""
-    return _maximize_over(s, 0, tau2, cfg)
 
 
 def _alternating_sweep(s: Scenario, cfg: AscentConfig, low_first: bool) -> OptimizationResult:
@@ -237,6 +224,13 @@ def coordinate_ascent(s: Scenario, cfg: AscentConfig | None = None) -> Optimizat
     return result
 
 
+def _check_oracle_step(step: float):
+    """The grid oracle's validation of ``step``, on its own so that a caller
+    can reject a bad step before any work starts."""
+    if not 0.0 < step <= 0.1:
+        raise ValueError("oracle step must lie in (0, 0.1]")
+
+
 def grid_search_oracle(s: Scenario, step: float) -> OptimizationResult:
     """Exhaustive throughput maximisation on the (tau1, tau2) simplex grid.
 
@@ -244,8 +238,7 @@ def grid_search_oracle(s: Scenario, step: float) -> OptimizationResult:
     each tau1 row, and returns the argmax; ties resolve to the lexicographically
     smallest point.
     """
-    if not 0.0 < step <= 0.1:
-        raise ValueError("step must lie in (0, 0.1]")
+    _check_oracle_step(step)
     best_th = -1.0
     best = (0.0, 0.0)
     grid = _grid(step)

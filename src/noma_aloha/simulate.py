@@ -43,15 +43,14 @@ _TRACE_BLOCK_ROWS = 4096
 
 @dataclass(frozen=True)
 class SlotOutcome:
-    """Decoding result of one slot: counts, per-layer flags, decoded sum rate
-    and per transmitting user success (high-power users first)."""
+    """Decoding result of one slot: counts, per-layer flags and decoded sum
+    rate.  A layer decodes all of its users or none."""
 
     n1: int
     n2: int
     high_decoded: bool
     low_decoded: bool
     sum_rate: float
-    per_user_success: tuple[bool, ...]
 
 
 @dataclass(frozen=True)
@@ -111,9 +110,7 @@ def sic_decode(s: Scenario, n1: int, n2: int) -> SlotOutcome:
             sum_rate += math.log2(1.0 + snr)
             decoded_low += 1
     low_decoded = n2 >= 1 and decoded_low == n2
-    per_user = (True,) * decoded_high + (False,) * (n1 - decoded_high)
-    per_user += (True,) * decoded_low + (False,) * (n2 - decoded_low)
-    return SlotOutcome(n1, n2, high_decoded, low_decoded, sum_rate, per_user)
+    return SlotOutcome(n1, n2, high_decoded, low_decoded, sum_rate)
 
 
 @lru_cache(maxsize=8)

@@ -147,7 +147,7 @@ def test_acceptance_06_optimum_prefers_high_power():
 def test_acceptance_07_noma_beats_single_power_baseline():
     res = coordinate_ascent(DEFAULTS)
     _, th_base = baseline_optimum(DEFAULTS)
-    expected_base = math.log2(5.0) * 0.1 * 0.9**9
+    expected_base = 10 * math.log2(5.0) * 0.1 * 0.9**9
     _report(
         res.th_star > th_base and abs(th_base - expected_base) < 1e-12,
         f"acceptance 7: optimised throughput {res.th_star:.4f} strictly exceeds "

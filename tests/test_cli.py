@@ -15,6 +15,7 @@ from noma_aloha.model import (
     average_throughput,
     success_probability,
 )
+from noma_aloha.simulate import SimConfig
 
 
 def run_cli(args, capsys):
@@ -120,9 +121,17 @@ class TestOptimize:
         assert abs(rec["th_star"] - rec["oracle_th"]) <= 1e-3
         assert rec["th_star"] > rec["baseline_th_star"]
         assert rec["baseline_th_star"] == pytest.approx(
-            math.log2(5.0) * 0.1 * 0.9**9, rel=1e-12
+            10 * math.log2(5.0) * 0.1 * 0.9**9, rel=1e-12
         )
         assert rec["converged"] is True
+
+    @pytest.mark.parametrize("step", ["0.5", "0", "nan"])
+    def test_bad_oracle_step_exits_2_before_the_ascent(self, step, capsys):
+        code, out, err = run_cli(["optimize", "--oracle", "--oracle-step", step], capsys)
+        assert code == 2
+        assert out == ""
+        # no ascent summary: the step is checked before any work starts
+        assert err == "config error: oracle step must lie in (0, 0.1]\n"
 
     def test_empty_region_reports_zero(self, capsys):
         code, out, _ = run_cli(["optimize", "--gamma", "5", "--format", "json"], capsys)
@@ -263,6 +272,66 @@ class TestSweep:
         best = max(rows, key=lambda r: r["th_avg"])
         assert best["p_baseline"] == pytest.approx(0.1)
         assert rows[0]["th_avg"] == 0.0 and rows[-1]["th_avg"] == 0.0
+
+    @pytest.mark.parametrize(
+        "scenario", [[], ["--m", "25", "--v1", "3", "--gamma", "0.8"], ["--m", "1"]]
+    )
+    def test_p_baseline_row_matches_single_power_analyze(self, scenario, capsys):
+        # with gamma > v1/(v1+1) two high-power users collide and one alone
+        # decodes, so NOMA at tau2 = 0 is single-power ALOHA
+        code, out, _ = run_cli(
+            ["sweep", "--axis", "p_baseline", "--start", "0", "--stop", "1",
+             "--step", "0.05", "--format", "json", *scenario],
+            capsys,
+        )
+        assert code == 0
+        rows = json.loads(out)
+        assert len(rows) == 21
+        for row in rows:
+            code, out, _ = run_cli(
+                ["analyze", "--tau1", repr(row["p_baseline"]), "--tau2", "0",
+                 "--format", "json", *scenario],
+                capsys,
+            )
+            assert code == 0
+            ref = json.loads(out)[0]
+            assert ref["v1"] / (ref["v1"] + 1.0) < ref["gamma"] <= ref["v1"]
+            for key in ("p_success", "th_avg"):
+                assert math.isclose(row[key], ref[key], rel_tol=1e-12), (row, ref)
+
+    def test_bad_sim_config_rejected_before_any_point_is_evaluated(
+        self, capsys, monkeypatch
+    ):
+        def evaluated(*args):
+            raise AssertionError("a point was evaluated before the config check")
+
+        monkeypatch.setattr(cli, "success_probability", evaluated)
+        monkeypatch.setattr(cli, "average_throughput", evaluated)
+        code, out, err = run_cli(
+            ["sweep", "--axis", "gamma", "--start", "1", "--stop", "2", "--step", "0.5",
+             "--simulate", "--slots", "0"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "config error: slots must be at least 1\n"
+
+    def test_simulate_columns_build_one_sim_config(self, capsys, monkeypatch):
+        built = []
+
+        def counted(**kwargs):
+            built.append(kwargs)
+            return SimConfig(**kwargs)
+
+        monkeypatch.setattr(cli, "SimConfig", counted)
+        code, out, _ = run_cli(
+            ["sweep", "--axis", "m", "--start", "1", "--stop", "3", "--step", "1",
+             "--tau1", "0.1", "--simulate", "--slots", "100", "--replications", "2"],
+            capsys,
+        )
+        assert code == 0
+        assert len(parse_csv(out)) == 3
+        assert len(built) == 1
 
     def test_invalid_axis_lists_valid_ones(self, capsys):
         code, _, err = run_cli(

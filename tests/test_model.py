@@ -439,13 +439,13 @@ class TestBaseline:
     def test_optimum_examples(self):
         p_star, th_star = baseline_optimum(DEFAULTS)
         assert p_star == 0.1
-        assert th_star == pytest.approx(math.log2(5.0) * 0.1 * 0.9**9, rel=1e-12)
+        assert th_star == pytest.approx(10 * math.log2(5.0) * 0.1 * 0.9**9, rel=1e-12)
         p_star, th_star = baseline_optimum(Scenario(1, 4.0, 1.5, 1.5))
         assert p_star == 1.0
         assert th_star == pytest.approx(math.log2(5.0), rel=1e-12)
         p_star, th_star = baseline_optimum(Scenario(2, 4.0, 1.5, 1.5))
         assert p_star == 0.5
-        assert th_star == pytest.approx(math.log2(5.0) * 0.25, rel=1e-12)
+        assert th_star == pytest.approx(2 * math.log2(5.0) * 0.25, rel=1e-12)
 
 
 class TestCachesAndImports:

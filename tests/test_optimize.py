@@ -9,13 +9,7 @@ import pytest
 
 from noma_aloha import model, optimize
 from noma_aloha.model import PowerProfile, Scenario, _evaluate, average_throughput
-from noma_aloha.optimize import (
-    AscentConfig,
-    coordinate_ascent,
-    grid_search_oracle,
-    maximize_over_tau1,
-    maximize_over_tau2,
-)
+from noma_aloha.optimize import AscentConfig, coordinate_ascent, grid_search_oracle
 from support import reference_oracle, reference_scan
 
 DEFAULTS = Scenario(m=10, v1=4.0, v2=1.5, gamma=1.5)
@@ -55,16 +49,16 @@ class TestAscentConfig:
 
 class TestInnerMaximizations:
     def test_tau2_single_user_monotone(self):
-        tau2, th = maximize_over_tau2(SINGLE, 0.0)
+        tau2, th = optimize._maximize_over(SINGLE, 1, 0.0, AscentConfig())
         assert tau2 == 1.0
         assert th == pytest.approx(math.log2(2.5), rel=1e-12)
 
     def test_tau2_empty_interval(self):
-        tau2, _ = maximize_over_tau2(DEFAULTS, 1.0)
+        tau2, _ = optimize._maximize_over(DEFAULTS, 1, 1.0, AscentConfig())
         assert tau2 == 0.0
 
     def test_tau2_matches_dense_scan(self):
-        tau2, th = maximize_over_tau2(DEFAULTS, 0.0)
+        tau2, th = optimize._maximize_over(DEFAULTS, 1, 0.0, AscentConfig())
         ref_x, ref_f = dense_scan_argmax(
             lambda t: average_throughput(DEFAULTS, PowerProfile(0.0, t)), 0.0, 1.0, 1e-4
         )
@@ -72,16 +66,16 @@ class TestInnerMaximizations:
         assert th >= ref_f - 1e-9
 
     def test_tau1_single_user_monotone(self):
-        tau1, th = maximize_over_tau1(SINGLE, 0.0)
+        tau1, th = optimize._maximize_over(SINGLE, 0, 0.0, AscentConfig())
         assert tau1 == 1.0
         assert th == pytest.approx(math.log2(5.0), rel=1e-12)
 
     def test_tau1_empty_interval(self):
-        tau1, _ = maximize_over_tau1(DEFAULTS, 1.0)
+        tau1, _ = optimize._maximize_over(DEFAULTS, 0, 1.0, AscentConfig())
         assert tau1 == 0.0
 
     def test_tau1_matches_dense_scan(self):
-        tau1, th = maximize_over_tau1(DEFAULTS, 0.0)
+        tau1, th = optimize._maximize_over(DEFAULTS, 0, 0.0, AscentConfig())
         ref_x, ref_f = dense_scan_argmax(
             lambda t: average_throughput(DEFAULTS, PowerProfile(t, 0.0)), 0.0, 1.0, 1e-4
         )
@@ -90,9 +84,9 @@ class TestInnerMaximizations:
 
     def test_rejects_out_of_range_fixed_coordinate(self):
         with pytest.raises(ValueError):
-            maximize_over_tau2(DEFAULTS, 1.2)
+            optimize._maximize_over(DEFAULTS, 1, 1.2, AscentConfig())
         with pytest.raises(ValueError):
-            maximize_over_tau1(DEFAULTS, -0.1)
+            optimize._maximize_over(DEFAULTS, 0, -0.1, AscentConfig())
 
 
 class TestBatchedScan:
@@ -180,7 +174,7 @@ class TestGridScan:
         optimize._grid_points.cache_clear()
         tracemalloc.start()
         try:
-            tau2, th = maximize_over_tau2(DEFAULTS, 0.0, AscentConfig(grid_step=2e-6))
+            tau2, th = optimize._maximize_over(DEFAULTS, 1, 0.0, AscentConfig(grid_step=2e-6))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -122,19 +122,16 @@ class TestSicDecode:
         assert out.sum_rate == pytest.approx(
             math.log2(2.6) + math.log2(2.5), rel=1e-12
         )
-        assert out.per_user_success == (True, True)
 
     def test_high_collision_decodes_nothing(self):
         out = sic_decode(DEFAULTS, 2, 0)
         assert not out.high_decoded and not out.low_decoded
         assert out.sum_rate == 0.0
-        assert out.per_user_success == (False, False)
 
     def test_empty_slot(self):
         out = sic_decode(DEFAULTS, 0, 0)
         assert not out.high_decoded and not out.low_decoded
         assert out.sum_rate == 0.0
-        assert out.per_user_success == ()
 
     def test_low_layer_blocked_by_high_failure(self):
         # two high users jam each other, so the lone low user stays buried
@@ -152,7 +149,6 @@ class TestSicDecode:
         assert out.sum_rate == pytest.approx(
             cond_sum_rate_high(s, CountPair(1, 4)), rel=1e-15
         )
-        assert out.per_user_success == (True, False, False, False, False)
 
     def test_counts_validated(self):
         with pytest.raises(ValueError):
