@@ -46,6 +46,7 @@ __all__ = ["main", "ExperimentConfig", "ConfigError"]
 
 SWEEP_AXES = ("m", "tau1", "tau2", "gamma", "v1", "v2", "p_baseline")
 MAX_SWEEP_POINTS = 1_000_000
+_ORACLE_STEP = 0.01
 
 
 class ConfigError(Exception):
@@ -238,8 +239,13 @@ def cmd_optimize(args) -> int:
     cfg = build_config(args)
     s = _scenario(cfg)
     acfg = _checked(AscentConfig, **_given(args, AscentConfig))
+    if args.trace and (args.oracle or args.baseline):
+        raise ConfigError("--trace emits only the ascent trace; drop --oracle and --baseline")
+    if args.oracle_step is not None and not args.oracle:
+        raise ConfigError("--oracle-step needs --oracle")
+    oracle_step = _ORACLE_STEP if args.oracle_step is None else args.oracle_step
     if args.oracle:
-        _checked(_check_oracle_step, step=args.oracle_step)
+        _checked(_check_oracle_step, step=oracle_step)
     res = coordinate_ascent(s, acfg)
     _say(
         f"tau1*={_fmt6(res.tau1_star)} tau2*={_fmt6(res.tau2_star)} "
@@ -262,12 +268,12 @@ def cmd_optimize(args) -> int:
         "converged": res.converged,
     }
     if args.oracle:
-        oracle = grid_search_oracle(s, args.oracle_step)
+        oracle = grid_search_oracle(s, oracle_step)
         row["oracle_tau1"] = oracle.tau1_star
         row["oracle_tau2"] = oracle.tau2_star
         row["oracle_th"] = oracle.th_star
         _say(
-            f"oracle (step {_fmt6(args.oracle_step)}): tau1={_fmt6(oracle.tau1_star)} "
+            f"oracle (step {_fmt6(oracle_step)}): tau1={_fmt6(oracle.tau1_star)} "
             f"tau2={_fmt6(oracle.tau2_star)} th={_fmt6(oracle.th_star)}"
         )
     if args.baseline:
@@ -464,7 +470,7 @@ def _add_ascent_args(p: argparse.ArgumentParser):
 def _add_optimize_args(p: argparse.ArgumentParser):
     p.add_argument("--oracle", action="store_true", help="also run the grid oracle")
     p.add_argument(
-        "--oracle-step", type=float, default=0.01, help="grid oracle step (default 0.01)"
+        "--oracle-step", type=float, help=f"grid oracle step (default {_ORACLE_STEP})"
     )
     p.add_argument(
         "--baseline", action="store_true", help="also print the single-power optimum"

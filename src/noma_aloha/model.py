@@ -421,9 +421,12 @@ def average_throughput(s: Scenario, prof: PowerProfile) -> float:
 
 
 def baseline_success(s: Scenario, p: float) -> float:
-    """Per-user success probability of single-power slotted ALOHA (no SIC)."""
+    """Per-user success probability of single-power slotted ALOHA (no SIC): a
+    user succeeds when it transmits alone and its SINR v1 clears gamma."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
+    if not _high_ok(s, 1, 0):
+        return 0.0
     return p * (1.0 - p) ** (s.m - 1)
 
 

@@ -14,8 +14,10 @@ SINR of a layer, so the table stops at the first pair of each row that
 decodes nothing and at the first row whose high layer fails on its own;
 every pair beyond decodes nothing.  The tables cover the decodable pairs
 plus one all-zero row and column, and counts beyond them are clipped onto
-that border.  Slots are drawn in chunks, and the optional per-slot trace is
-written in blocks of preformatted rows.
+that border.  Slots are drawn in chunks.  The optional per-slot trace is
+assembled as bytes by numpy, a block of rows at a time: each row is gathered
+from a per-chunk table of the pairs' encoded row tails, numbered from a table
+of four-digit ASCII groups, and stripped of padding by a keep mask.
 """
 
 import math
@@ -156,13 +158,62 @@ def _clip(tables, n1, n2):
     return np.minimum(n1, rows - 1), np.minimum(n2, cols - 1)
 
 
-def _trace_suffix(tables, n1: int, n2: int) -> str:
+def _trace_suffix(tables, n1: int, n2: int) -> bytes:
     """The "n1,n2,high_decoded,low_decoded,sum_rate" tail of a trace row."""
     high_tab, low_tab, rate_tab = tables
     at = _clip(tables, n1, n2)
     high = "true" if high_tab[at] else "false"
     low = "true" if low_tab[at] else "false"
-    return f"{n1},{n2},{high},{low},{format(float(rate_tab[at]), '.17g')}\n"
+    return f"{n1},{n2},{high},{low},{format(float(rate_tab[at]), '.17g')}\n".encode()
+
+
+@lru_cache(maxsize=1)
+def _ascii_groups():
+    """ASCII digits of 0..9999 with leading zeros, "0000".."9999", each
+    group's four bytes read as one uint32."""
+    k = np.arange(10_000)
+    digits = np.stack([k // 1000, k // 100 % 10, k // 10 % 10, k % 10], axis=1) + ord("0")
+    return digits.astype(np.uint8).view(np.uint32).ravel()
+
+
+def _write_trace(fh, tails, pos, first):
+    """Write the trace rows of slots first, first + 1, ...; the row of slot
+    first + i ends with tails[pos[i]].
+
+    Each tail takes one row of a byte table: room for the slot number in
+    whole four-digit groups, a comma, the tail and zero padding.  A keep mask
+    of the same shape drops the padding.  Per block of slots the rows are
+    gathered through a void view (one copy per row), the slot digits are
+    filled in a group at a time, their leading zeros are masked off, and the
+    kept bytes are written at once.
+    """
+    groups = -(-len(str(first + len(pos) - 1)) // 4)
+    digits = 4 * groups
+    tail_len = np.array([len(t) for t in tails])
+    width = digits + 1 + int(tail_len.max())
+    table = np.zeros((len(tails), width), np.uint8)
+    table[:, digits] = ord(",")
+    table[:, digits + 1 :] = (
+        np.array(tails, dtype=f"S{width - digits - 1}").view(np.uint8).reshape(len(tails), -1)
+    )
+    keep = np.arange(width) < (digits + 1 + tail_len)[:, None]
+    table = table.view(f"V{width}").ravel()
+    keep = keep.view(f"V{width}").ravel()
+    ascii_groups = _ascii_groups()
+    for lo in range(0, len(pos), _TRACE_BLOCK_ROWS):
+        at = pos[lo : lo + _TRACE_BLOCK_ROWS]
+        start = first + lo
+        rows = table[at].view(np.uint8).reshape(len(at), width)
+        mask = keep[at].view(bool).reshape(len(at), width)
+        slots = np.arange(start, start + len(at))
+        field = rows[:, :digits].view(np.uint32)
+        for g in range(groups):
+            field[:, groups - 1 - g] = ascii_groups[slots // 10_000**g % 10_000]
+        # the slots below 10**k, a leading run of the block, have a leading
+        # zero in the k-th column left of the last digit
+        for k in range(1, digits):
+            mask[: max(10**k - start, 0), digits - 1 - k] = False
+        fh.write(rows[mask])
 
 
 def run_simulation(
@@ -200,8 +251,8 @@ def run_simulation(
     trace_file = None
     suffixes = {}
     if trace_path is not None:
-        trace_file = open(trace_path, "w", encoding="utf-8", newline="")
-        trace_file.write(",".join(TRACE_HEADER) + "\n")
+        trace_file = open(trace_path, "wb")
+        trace_file.write((",".join(TRACE_HEADER) + "\n").encode())
 
     try:
         for rep in range(cfg.replications):
@@ -236,25 +287,18 @@ def run_simulation(
                 width = int(n2.max()) + 1
                 keys = n1 * width + n2
                 seen, freq = np.unique(keys, return_counts=True)
-                seen = seen.tolist()
-                pairs = [divmod(k, width) for k in seen]
+                pairs = [divmod(k, width) for k in seen.tolist()]
                 pair_counts.update(dict(zip(pairs, freq.tolist())))
                 if trace_file is not None:
-                    suffix_of = {}
-                    for k, pair in zip(seen, pairs):
+                    for pair in pairs:
                         if pair not in suffixes:
                             suffixes[pair] = _trace_suffix(tables, *pair)
-                        suffix_of[k] = suffixes[pair]
-                    for lo in range(0, n, _TRACE_BLOCK_ROWS):
-                        block = keys[lo : lo + _TRACE_BLOCK_ROWS].tolist()
-                        trace_file.write(
-                            "".join(
-                                [
-                                    f"{slot},{suffix_of[k]}"
-                                    for slot, k in enumerate(block, done + lo)
-                                ]
-                            )
-                        )
+                    _write_trace(
+                        trace_file,
+                        [suffixes[pair] for pair in pairs],
+                        np.searchsorted(seen, keys),
+                        done,
+                    )
                 done += n
             p_reps[rep] = success_total / cfg.slots
             th_reps[rep] = rate_total / cfg.slots

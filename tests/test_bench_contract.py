@@ -19,6 +19,8 @@ PATCHED = [
     (model, "average_throughput"),
     (model, "success_probability"),
     (simulate, "sic_decode"),
+    # not patched, but the probe times the per-slot trace through it
+    (simulate, "run_simulation"),
 ]
 
 

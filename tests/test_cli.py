@@ -111,6 +111,10 @@ class TestAnalyze:
         assert float(row["th_avg"]) == average_throughput(s, PowerProfile(0.1, 0.1))
 
 
+TRACE_ALONE = "--trace emits only the ascent trace; drop --oracle and --baseline"
+STEP_NEEDS_ORACLE = "--oracle-step needs --oracle"
+
+
 class TestOptimize:
     def test_oracle_comparison(self, capsys):
         code, out, _ = run_cli(
@@ -132,6 +136,36 @@ class TestOptimize:
         assert out == ""
         # no ascent summary: the step is checked before any work starts
         assert err == "config error: oracle step must lie in (0, 0.1]\n"
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--trace", "--oracle"], TRACE_ALONE),
+            (["--trace", "--baseline"], TRACE_ALONE),
+            (["--trace", "--oracle", "--baseline"], TRACE_ALONE),
+            (["--oracle-step", "7"], STEP_NEEDS_ORACLE),
+            (["--oracle-step", "0.05", "--baseline"], STEP_NEEDS_ORACLE),
+            (["--trace", "--oracle-step", "0.05"], STEP_NEEDS_ORACLE),
+        ],
+    )
+    def test_ignored_flags_exit_2_before_the_ascent(self, flags, message, capsys, monkeypatch):
+        def ascent(*args):
+            raise AssertionError("the ascent ran before the flags were checked")
+
+        monkeypatch.setattr(cli, "coordinate_ascent", ascent)
+        code, out, err = run_cli(["optimize", *flags], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"config error: {message}\n"
+
+    def test_baseline_respects_gamma(self, capsys):
+        # gamma above v1 = 4: a lone transmitter does not decode either
+        code, out, _ = run_cli(
+            ["optimize", "--baseline", "--gamma", "5", "--format", "json"], capsys
+        )
+        assert code == 0
+        rec = json.loads(out)[0]
+        assert rec["th_star"] == rec["baseline_th_star"] == 0.0
 
     def test_empty_region_reports_zero(self, capsys):
         code, out, _ = run_cli(["optimize", "--gamma", "5", "--format", "json"], capsys)
@@ -274,11 +308,21 @@ class TestSweep:
         assert rows[0]["th_avg"] == 0.0 and rows[-1]["th_avg"] == 0.0
 
     @pytest.mark.parametrize(
-        "scenario", [[], ["--m", "25", "--v1", "3", "--gamma", "0.8"], ["--m", "1"]]
+        "scenario",
+        [
+            [],
+            ["--m", "25", "--v1", "3", "--gamma", "0.8"],
+            ["--m", "1"],
+            # gamma at and above v1: a lone transmitter decodes only up to v1
+            ["--gamma", "4"],
+            ["--gamma", "5"],
+            ["--m", "25", "--v1", "3", "--gamma", "3.5"],
+            ["--m", "1", "--gamma", "4.5"],
+        ],
     )
     def test_p_baseline_row_matches_single_power_analyze(self, scenario, capsys):
         # with gamma > v1/(v1+1) two high-power users collide and one alone
-        # decodes, so NOMA at tau2 = 0 is single-power ALOHA
+        # decodes if gamma <= v1, so NOMA at tau2 = 0 is single-power ALOHA
         code, out, _ = run_cli(
             ["sweep", "--axis", "p_baseline", "--start", "0", "--stop", "1",
              "--step", "0.05", "--format", "json", *scenario],
@@ -295,7 +339,7 @@ class TestSweep:
             )
             assert code == 0
             ref = json.loads(out)[0]
-            assert ref["v1"] / (ref["v1"] + 1.0) < ref["gamma"] <= ref["v1"]
+            assert ref["v1"] / (ref["v1"] + 1.0) < ref["gamma"]
             for key in ("p_success", "th_avg"):
                 assert math.isclose(row[key], ref[key], rel_tol=1e-12), (row, ref)
 

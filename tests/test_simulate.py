@@ -115,6 +115,31 @@ def chunked_reference(s, prof, cfg, chunk):
     return stats, counts
 
 
+def csv_trace(s, prof, cfg):
+    """The trace file's bytes as csv.writer writes them: one unchunked draw
+    per replication, each slot's outcome from sic_decode."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(("slot", "n1", "n2", "high_decoded", "low_decoded", "sum_rate"))
+    outcomes = {}
+    for rep in range(cfg.replications):
+        _, _, n1s, n2s = draw_slots(replication_streams(cfg.seed, rep), prof, s.m, cfg.slots)
+        for slot, pair in enumerate(zip(n1s.tolist(), n2s.tolist())):
+            if pair not in outcomes:
+                outcomes[pair] = sic_decode(s, *pair)
+            out = outcomes[pair]
+            writer.writerow(
+                (
+                    slot,
+                    *pair,
+                    "true" if out.high_decoded else "false",
+                    "true" if out.low_decoded else "false",
+                    format(out.sum_rate, ".17g"),
+                )
+            )
+    return buf.getvalue().encode("utf-8")
+
+
 class TestSicDecode:
     def test_both_layers_decode(self):
         out = sic_decode(DEFAULTS, 1, 1)
@@ -428,3 +453,75 @@ class TestSlotTrace:
                     )
                 )
         assert path.read_bytes() == buf.getvalue().encode("utf-8")
+
+    @pytest.mark.parametrize(
+        "chunk, block, slots",
+        [
+            # 10, 100, 10_000 and 100_000 all fall inside blocks
+            (3001, 13, 100_050),
+            # ... all start a block
+            (3000, 5, 100_050),
+            # 10 inside a block; 100, 10_000 and 100_000 start a chunk
+            (100, 7, 100_050),
+            # 10 and 100 start a chunk
+            (10, 4, 120),
+        ],
+    )
+    def test_trace_bytes_match_csv_writer_where_slot_digits_grow(
+        self, tmp_path, monkeypatch, chunk, block, slots
+    ):
+        monkeypatch.setattr(simulate, "_CHUNK_SLOTS", chunk)
+        monkeypatch.setattr(simulate, "_TRACE_BLOCK_ROWS", block)
+        cfg = SimConfig(slots=slots, seed=37, replications=1)
+        prof = PowerProfile(0.2, 0.15)
+        path = tmp_path / "trace.csv"
+        run_simulation(WIDE, prof, cfg, trace_path=path)
+        assert path.read_bytes() == csv_trace(WIDE, prof, cfg)
+
+    def test_trace_of_one_slot(self, tmp_path):
+        cfg = SimConfig(slots=1, seed=3, replications=2)
+        prof = PowerProfile(0.3, 0.3)
+        path = tmp_path / "trace.csv"
+        run_simulation(DEFAULTS, prof, cfg, trace_path=path)
+        want = csv_trace(DEFAULTS, prof, cfg)
+        assert path.read_bytes() == want
+        assert want.count(b"\n0,") == 2
+
+    @pytest.mark.parametrize(
+        "s, prof",
+        [
+            # two-digit counts, collisions that decode nothing (sum rate 0)
+            # and 17-digit sum rates: row tails of many widths
+            (Scenario(m=12, v1=4.0, v2=1.5, gamma=0.3), PowerProfile(0.4, 0.4)),
+            (WIDE, PowerProfile(0.45, 0.45)),
+            (WIDE, PowerProfile(0.05, 0.05)),
+        ],
+    )
+    def test_trace_bytes_match_csv_writer_across_tail_widths(self, tmp_path, s, prof):
+        cfg = SimConfig(slots=20_000, seed=43, replications=2)
+        path = tmp_path / "trace.csv"
+        run_simulation(s, prof, cfg, trace_path=path)
+        want = csv_trace(s, prof, cfg)
+        assert path.read_bytes() == want
+        tails = {row.split(b",", 1)[1] for row in want.splitlines()[1:]}
+        assert any(t.endswith(b",false,false,0") for t in tails)
+        assert max(map(len, tails)) - min(map(len, tails)) >= 15
+
+    def test_trace_buffers_stay_per_block(self, tmp_path):
+        # one chunk of 2**18 slots: a buffer for the whole chunk's rows
+        # would take more than 7 MiB (over 28 bytes a row)
+        cfg = SimConfig(slots=1 << 18, seed=47, replications=1)
+        prof = PowerProfile(0.2, 0.15)
+        run_simulation(WIDE, prof, cfg)
+
+        def peak(trace_path):
+            tracemalloc.start()
+            try:
+                run_simulation(WIDE, prof, cfg, trace_path=trace_path)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        untraced = peak(None)
+        traced = peak(tmp_path / "trace.csv")
+        assert traced - untraced < 2 * 2**20, (traced, untraced)
