@@ -45,6 +45,7 @@ from .simulate import SimConfig, run_simulation
 __all__ = ["main", "ExperimentConfig", "ConfigError"]
 
 SWEEP_AXES = ("m", "tau1", "tau2", "gamma", "v1", "v2", "p_baseline")
+# the most rows a command builds: a sweep's points, or the region's pairs
 MAX_SWEEP_POINTS = 1_000_000
 _ORACLE_STEP = 0.01
 
@@ -204,6 +205,9 @@ def _emit(rows: list[dict], cfg: ExperimentConfig):
 def cmd_region(args) -> int:
     cfg = build_config(args)
     s = _scenario(cfg)
+    # one row per pair n1 + n2 <= m; at m = 1e5 that is about 5e9 rows
+    if (s.m + 1) * (s.m + 2) // 2 > MAX_SWEEP_POINTS:
+        raise ConfigError(f"region table has more than {MAX_SWEEP_POINTS} rows")
     b = region_bounds(s)
     rows = []
     for n1 in range(s.m + 1):

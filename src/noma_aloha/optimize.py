@@ -9,6 +9,16 @@ sample points in batches through the model's one evaluation kernel, reducing
 only the throughput.  Every coarse scan, and every oracle row, starts with the
 points k*step from 0; those points and their logs are taken once per step and
 cached, and each scan takes a prefix of them.
+
+The coarse scans of the ascent are pruned.  Each term of the mixture is
+log-concave along the scanned axis, so its largest value on a run of samples
+sits at its stationary point clipped to the run, and the sum of those values,
+raised by a slack for rounding, bounds the kernel's throughput on the run.
+The run with the largest bound is evaluated first, then only the runs whose
+bound is not below the best value found.  A skipped sample lies strictly
+below that value and the kernel gives a point the same bits in any batch, so
+the argmax, its ties and every output bit are those of the full scan.  The
+refinement scans and the oracle stay exhaustive.
 """
 
 import math
@@ -17,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .model import Scenario, _log, _logs, _throughput
+from .model import _BLOCK_ELEMENTS, _LOG_ZERO, Scenario, _log, _logs, _terms, _throughput
 
 # not called here any more: the benchmark's layer probe and traced runs patch
 # ``optimize.average_throughput`` by name, so the name stays importable
@@ -151,8 +161,118 @@ def _scan(f, lo, hi, step, grid=None):
     return best_x, best_f
 
 
-def _maximize_1d(f, hi, cfg: AscentConfig):
-    x, fx = _scan(f, 0.0, hi, cfg.grid_step, _grid(cfg.grid_step))
+# Coarse-scan samples are bounded, and evaluated or skipped, in runs of this
+# many consecutive points of a piece.
+_INTERVAL = 32
+
+# The bound's exponent is raised by _REL_SLACK times the size of the logs it
+# sums, plus _ABS_SLACK: far above the rounding of the kernel's logs, sums and
+# exps and of the bound's own, at any m.
+_REL_SLACK = 2.0**-45
+_ABS_SLACK = 2.0**-30
+
+
+def _log0(t):
+    """np.log of each entry, _LOG_ZERO at zero, as the kernel takes it."""
+    return np.log(t, out=np.full(t.shape, _LOG_ZERO), where=t > 0.0)
+
+
+def _interval_bounds(s: Scenario, axis: int, fixed: float, xs):
+    """Upper bounds on the kernel's throughput, coordinate ``axis`` at each
+    point of the nondecreasing ``xs`` and the other at ``fixed``: one per run
+    of _INTERVAL consecutive points, the last run possibly shorter.
+
+    Along the axis, with a, b and c the term's axis, fixed and idle counts,
+    a term's log mass ``g = L + b log(fixed) + a log(x) + c log(1 - fixed - x)``
+    is concave in x and peaks at ``a (1 - fixed) / (a + c)``; clipped to the
+    run's [lo, hi], that point gives the term's largest mass on the run.  As
+    log is monotone, the clip is taken on the logs.  The kernel's idle
+    probability exceeds 1 - fixed - x by at most 2**-52, so the bound puts
+    ``budget`` = (1 - fixed) + 2**-50 in place of 1 - fixed.  The exponent
+    is raised by ``_REL_SLACK (2|L| + m + |g|) + _ABS_SLACK``; as
+    g <= L + m * 2**-50, ``g (1 - _REL_SLACK) + _REL_SLACK (4|L| + 2m) +
+    _ABS_SLACK`` is at least that.  A zero probability counts as _LOG_ZERO, as in the kernel, so a
+    term that vanishes there is exactly 0 here too.
+    """
+    counts, log_coef, rate = _terms(s)[:3]
+    a, b, c = counts[axis], counts[1 - axis], counts[2]
+    budget = (1.0 - fixed) + 2.0**-50
+    peak = a * budget / np.maximum(a + c, 1.0)
+    shrink = 1.0 - _REL_SLACK
+    head = (log_coef + _log(fixed) * b) * shrink
+    head += _REL_SLACK * (4.0 * np.abs(log_coef) + 2.0 * s.m) + _ABS_SLACK
+    a, c = a * shrink, c * shrink
+    lo, hi = xs[::_INTERVAL], xs[_INTERVAL - 1 :: _INTERVAL]
+    if hi.size < lo.size:
+        hi = np.append(hi, xs[-1])
+    # Where the kernel's idle probability is 0 at lo, it is 0 on the whole
+    # run, and so is every term with idle users.
+    idle_at_lo = (1.0 - lo) - fixed if axis == 0 else (1.0 - fixed) - lo
+    ends = (lo, hi, budget - hi, (budget - lo) * (idle_at_lo > 0.0))
+    logs = _log0(np.concatenate((peak, budget - peak, *ends)))
+    log_peak, idle_peak = logs[: peak.size], logs[peak.size : 2 * peak.size]
+    # idle falls as x rises, so its log at hi is the low end of its clip
+    log_lo, log_hi, idle_hi, idle_lo = logs[2 * peak.size :].reshape(4, lo.size, 1)
+    out = np.empty(lo.size)
+    rows = max(1, _BLOCK_ELEMENTS // max(1, rate.size))
+    for r in range(0, lo.size, rows):
+        block = slice(r, r + rows)
+        g = np.minimum(np.maximum(log_peak, log_lo[block]), log_hi[block])
+        g *= a
+        g += head
+        log_idle = np.minimum(np.maximum(idle_peak, idle_hi[block]), idle_lo[block])
+        log_idle *= c
+        g += log_idle
+        out[block] = np.exp(g, out=g) @ rate
+    return out
+
+
+def _pruned_scan(f, bounds, hi, step):
+    """``_scan(f, 0, hi, step, _grid(step))``, with f evaluated only on the
+    runs of samples whose bound does not rule them out.
+
+    ``bounds(xs)`` bounds f from above on each run of _INTERVAL consecutive
+    points of a piece.  The run with the largest bound is evaluated first;
+    then, in one call of f per piece, every other run whose bound is not
+    below the best value found so far.  A skipped point lies strictly below
+    that value, and f's value at a point does not depend on the batch it is
+    evaluated in, so the argmax, its first-index tie rule and every bit of
+    the result are those of the full scan.  Only the bounds of the pieces
+    are kept between the two passes, so memory stays bounded at any step.
+    """
+    def pieces():
+        return _samples(0.0, hi, step, lambda x: x < hi, tail=[hi], grid=_grid(step))
+
+    piece_bounds, top, offset = [], None, 0
+    for xs, logs in pieces():
+        b = bounds(xs)
+        j = int(np.argmax(b))
+        if top is None or b[j] > top[0]:
+            run = slice(j * _INTERVAL, (j + 1) * _INTERVAL)
+            top = b[j], offset + run.start, xs[run], None if logs is None else logs[run]
+        piece_bounds.append(b)
+        offset += xs.size
+    _, first, xs, logs = top
+    stop = first + xs.size
+    fx = f(xs, logs)
+    i = int(np.argmax(fx))
+    best_k, best_x, best_f = first + i, xs[i], fx[i]
+    offset = 0
+    for b, (xs, logs) in zip(piece_bounds, pieces()):
+        keep = np.repeat(~(b < best_f), _INTERVAL)[: xs.size]
+        keep[max(0, first - offset) : max(0, stop - offset)] = False
+        k = np.flatnonzero(keep)
+        if k.size:
+            fx = f(xs[k], None if logs is None else logs[k])
+            i = int(np.argmax(fx))
+            if fx[i] > best_f or (fx[i] == best_f and offset + k[i] < best_k):
+                best_k, best_x, best_f = offset + k[i], xs[k[i]], fx[i]
+        offset += xs.size
+    return float(best_x), float(best_f)
+
+
+def _maximize_1d(f, bounds, hi, cfg: AscentConfig):
+    x, fx = _pruned_scan(f, bounds, hi, cfg.grid_step)
     width = cfg.grid_step
     for _ in range(cfg.refine_rounds):
         lo_r = max(0.0, x - width)
@@ -176,7 +296,10 @@ def _maximize_over(s: Scenario, axis: int, fixed: float, cfg: AscentConfig):
             return _throughput(s, xs, fixed, logs=(logs, None))
         return _throughput(s, fixed, xs, logs=(None, logs))
 
-    return _maximize_1d(throughput, 1.0 - fixed, cfg)
+    def bounds(xs):
+        return _interval_bounds(s, axis, fixed, xs)
+
+    return _maximize_1d(throughput, bounds, 1.0 - fixed, cfg)
 
 
 def _alternating_sweep(s: Scenario, cfg: AscentConfig, low_first: bool) -> OptimizationResult:

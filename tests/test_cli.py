@@ -53,6 +53,22 @@ class TestRegion:
         assert rows[("0", "1")] == ("false", "true")
         assert rows[("0", "0")] == ("false", "false")
 
+    def test_row_count_capped_before_any_work(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_SWEEP_POINTS", 66)
+        code, out, _ = run_cli(["region"], capsys)
+        assert code == 0
+        assert len(parse_csv(out)) == 66
+
+        def no_work(*args):
+            raise AssertionError("region built before the row count check")
+
+        monkeypatch.setattr(cli, "region_bounds", no_work)
+        monkeypatch.setattr(cli, "decode_feasibility", no_work)
+        code, out, err = run_cli(["region", "--m", "11"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "more than 66 rows" in err
+
     def test_invalid_scenario_exits_2(self, capsys):
         code, _, err = run_cli(["region", "--v2", "9"], capsys)
         assert code == 2

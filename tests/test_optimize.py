@@ -6,11 +6,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from noma_aloha import model, optimize
 from noma_aloha.model import PowerProfile, Scenario, _evaluate, average_throughput
 from noma_aloha.optimize import AscentConfig, coordinate_ascent, grid_search_oracle
-from support import reference_oracle, reference_scan
+from support import boundary_scenarios, random_scenario, reference_oracle, reference_scan
 
 DEFAULTS = Scenario(m=10, v1=4.0, v2=1.5, gamma=1.5)
 SINGLE = Scenario(m=1, v1=4.0, v2=1.5, gamma=1.5)
@@ -184,6 +186,116 @@ class TestGridScan:
         assert optimize._grid(2e-6)[0].size == optimize._SCAN_PIECE
 
 
+@st.composite
+def large_scenarios(draw):
+    """Up to 1e5 users, where the logs the bound sums are large; gamma
+    keeps the table to a few hundred terms."""
+    m = draw(st.integers(1000, 100_000))
+    v1 = draw(st.floats(1.0, 20.0))
+    v2 = v1 * draw(st.floats(0.05, 0.95))
+    return Scenario(m, v1, v2, draw(st.floats(0.3, 5.0)))
+
+
+SCAN_SCENARIOS = st.one_of(
+    st.integers(0, 2**32 - 1).map(lambda seed: random_scenario(np.random.default_rng(seed), m_max=60)),
+    boundary_scenarios(),
+    large_scenarios(),
+    st.sampled_from([DEFAULTS, SINGLE, EMPTY, Scenario(50, 20.0, 2.0, 0.3)]),
+)
+FIXED = st.one_of(st.sampled_from([0.0, 1.0 - 1e-9, 1.0]), st.floats(0.0, 1e-3), st.floats(0.0, 1.0))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestPrunedScan:
+    """The coarse scan skips runs of samples whose bound lies below the best
+    value found, and still returns every bit of the full scan."""
+
+    @staticmethod
+    def scans(s, axis, fixed, step, interval, piece):
+        """The full and the pruned coarse scan, the kernel's values and the
+        bounds of each piece, all with the given run and piece sizes."""
+        f = TestGridScan.kernel(s, axis, fixed)
+        hi = 1.0 - fixed
+        with mock.patch.object(optimize, "_SCAN_PIECE", piece), mock.patch.object(
+            optimize, "_INTERVAL", interval
+        ):
+            full = optimize._scan(f, 0.0, hi, step, optimize._grid(step))
+            pruned = optimize._pruned_scan(
+                f, lambda xs: optimize._interval_bounds(s, axis, fixed, xs), hi, step
+            )
+            pieces = [
+                (f(xs, logs), optimize._interval_bounds(s, axis, fixed, xs))
+                for xs, logs in optimize._samples(
+                    0.0, hi, step, lambda x: x < hi, tail=[hi], grid=optimize._grid(step)
+                )
+            ]
+        return full, pruned, pieces
+
+    @given(
+        SCAN_SCENARIOS,
+        st.sampled_from([0, 1]),
+        FIXED,
+        st.sampled_from([1e-3, 0.0137, 0.25]),
+        st.sampled_from([1, 5, 32]),
+        st.sampled_from([7, 64, optimize._SCAN_PIECE]),
+    )
+    @settings(max_examples=200, deadline=None)
+    # the run with the largest bound does not hold the maximum
+    @example(Scenario(50, 20.0, 2.0, 0.3), 1, 0.055, 1e-3, 5, optimize._SCAN_PIECE)
+    @example(DEFAULTS, 0, 0.753, 1e-3, 5, 64)
+    def test_matches_full_scan_and_bounds_cover_the_kernel(
+        self, s, axis, fixed, step, interval, piece
+    ):
+        full, pruned, pieces = self.scans(s, axis, fixed, step, interval, piece)
+        assert [v.hex() for v in pruned] == [v.hex() for v in full]
+        for values, bounds in pieces:
+            run_max = np.maximum.reduceat(values, np.arange(0, values.size, interval))
+            assert bounds.shape == run_max.shape
+            assert np.all(bounds >= run_max), (bounds - run_max).min()
+
+    @pytest.mark.parametrize("fixed", [0.0, 1e-5, 0.1])
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize(
+        "s", [SINGLE, DEFAULTS, Scenario(50, 20.0, 2.0, 0.3), Scenario(100_000, 4.0, 1.5, 1.3)]
+    )
+    def test_bounds_of_single_points_cover_the_kernel(self, s, axis, fixed):
+        # a run of one point bounds the kernel's own formula at that point,
+        # so only the slack covers the rounding of logs, sums and exps
+        xs = np.linspace(0.0, 1.0 - fixed, 20_001)
+        with mock.patch.object(optimize, "_INTERVAL", 1):
+            bounds = optimize._interval_bounds(s, axis, fixed, xs)
+        values = TestGridScan.kernel(s, axis, fixed)(xs, None)
+        assert np.all(bounds >= values), int(np.sum(bounds < values))
+
+    @pytest.mark.parametrize("fixed", [0.0, 0.3, 1.0 - 1e-9])
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("s", [SINGLE, DEFAULTS, EMPTY])
+    def test_terms_the_kernel_zeroes_bound_exactly_zero(self, s, axis, fixed):
+        # x = 0, fixed = 0 and idle = 0 make the kernel's terms exactly 0
+        xs = np.array([0.0, 1e-3, 1.0 - fixed])
+        with mock.patch.object(optimize, "_INTERVAL", 1):
+            bounds = optimize._interval_bounds(s, axis, fixed, xs)
+        values = TestGridScan.kernel(s, axis, fixed)(xs, None)
+        assert np.all(bounds >= values)
+        assert bounds[values == 0.0].tolist() == [0.0] * int(np.sum(values == 0.0))
+
+    def test_skips_most_of_the_coarse_scan(self):
+        s = Scenario(50, 20.0, 2.0, 0.3)
+        kernel = TestGridScan.kernel(s, 1, 0.05)
+        evaluated = []
+
+        def f(xs, logs):
+            evaluated.append(xs.size)
+            return kernel(xs, logs)
+
+        got = optimize._pruned_scan(
+            f, lambda xs: optimize._interval_bounds(s, 1, 0.05, xs), 0.95, 1e-3
+        )
+        assert got == optimize._scan(kernel, 0.0, 0.95, 1e-3, optimize._grid(1e-3))
+        # of 951 samples
+        assert sum(evaluated) < 200, evaluated
+
+
 # float.hex of (tau1_star, tau2_star, th_star) for m = 50, v1 = 20, v2 = 2,
 # recorded from the batched kernel before fixed coordinates became one row
 # and the coarse grid's logs were cached: both must leave every bit in place
@@ -217,6 +329,13 @@ class TestCoordinateAscent:
         assert res.outer_iterations <= 20
         oracle = grid_search_oracle(DEFAULTS, 0.01)
         assert res.th_star >= oracle.th_star - 1e-3
+
+    def test_fine_grid_reaches_the_optimum_at_large_m(self):
+        # a coarse step of 1e-6 finds the optimum near tau = 1/m that the
+        # default step misses; the pruned scans make its 1e6-point scans cheap
+        res = coordinate_ascent(Scenario(100_000, 4.0, 1.5, 1.3), AscentConfig(grid_step=1e-6))
+        assert res.converged
+        assert res.th_star >= 0.98170
 
     def test_empty_region_stops_after_first_sweep(self):
         res = coordinate_ascent(EMPTY)
