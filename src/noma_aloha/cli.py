@@ -18,19 +18,18 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 import typing
 from dataclasses import Field, asdict, dataclass, fields, replace
 
 from .model import (
-    CountPair,
     PowerProfile,
     Scenario,
     _baseline_throughput,
     average_throughput,
     baseline_optimum,
     baseline_success,
-    decode_feasibility,
     region_bounds,
     success_probability,
 )
@@ -115,8 +114,24 @@ def _given(args: argparse.Namespace, cls) -> dict:
     }
 
 
+def _check_writable(path: str, what: str):
+    """Reject a path that the command could not open for writing, before any
+    work starts and without creating or truncating a file."""
+    parent = os.path.dirname(path) or "."
+    if not path or os.path.isdir(path):
+        reason = "not a file"
+    elif not os.path.isdir(parent):
+        reason = f"no directory {parent}"
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        reason = "not writable"
+    else:
+        return
+    raise ConfigError(f"cannot write {what} {path!r}: {reason}")
+
+
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
-    """Merge defaults, config file and command-line flags, in that order."""
+    """Merge defaults, config file and command-line flags, in that order,
+    and check that the output and trace paths can be written."""
     cfg = ExperimentConfig()
     if getattr(args, "config", None):
         by_name = {f.name: f for f in fields(cfg)}
@@ -127,6 +142,10 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
     cfg = replace(cfg, **_given(args, ExperimentConfig))
     if cfg.format not in ("csv", "json"):
         raise ConfigError("format must be 'csv' or 'json'")
+    if cfg.output:
+        _check_writable(cfg.output, "output")
+    if getattr(args, "trace_file", None) is not None:
+        _check_writable(args.trace_file, "trace file")
     return cfg
 
 
@@ -209,13 +228,11 @@ def cmd_region(args) -> int:
     if (s.m + 1) * (s.m + 2) // 2 > MAX_SWEEP_POINTS:
         raise ConfigError(f"region table has more than {MAX_SWEEP_POINTS} rows")
     b = region_bounds(s)
-    rows = []
-    for n1 in range(s.m + 1):
-        for n2 in range(s.m + 1 - n1):
-            flags = decode_feasibility(s, CountPair(n1, n2))
-            rows.append(
-                {"n1": n1, "n2": n2, "high_ok": flags.high_ok, "low_ok": flags.low_ok}
-            )
+    rows = [
+        {"n1": n1, "n2": n2, "high_ok": b.in_high_region(n1, n2), "low_ok": b.in_low_region(n1, n2)}
+        for n1 in range(s.m + 1)
+        for n2 in range(s.m + 1 - n1)
+    ]
     _say(
         f"high layer decodable: n1 <= {b.high_max}, "
         f"n2 caps per n1 {list(b.low_max_given_high)}"

@@ -297,26 +297,30 @@ def _logs(t):
     return out
 
 
-def _sums(s: Scenario, tau1, tau2, weights, logs=(None, None)):
+def _sums(s: Scenario, tau1, tau2, weights):
     """Per-profile sums of ``w * pmf`` over the table, one (K,) array for
-    each weight column ``w`` of ``_terms(s)`` in ``weights``.
+    each weight column ``w`` of ``_terms(s)`` in ``weights``: the one
+    evaluation kernel, from which every throughput and success probability
+    of the package comes.
 
     ``tau1`` and ``tau2`` are each a scalar, fixed for every profile, or a
-    (K,) array; ``logs`` may hold their logs already taken (the optimizer's
-    cached grid).  A profile's log mass is ``((log_coef + a) + b) + c`` with
-    a, b, c the count-weighted logs of tau1, tau2 and the idle probability.
-    Fixed terms from the left fold into one row, computed once per call, and
-    a fixed term after a varying one is one row added to every profile: the
-    same floats in the same order, so the bits do not depend on which
-    coordinates are fixed.
+    (K,) array.  A profile's log mass is ``((log_coef + a) + b) + c`` with
+    a, b, c the count-weighted logs of tau1, tau2 and the idle probability,
+    each log taken by ``math.log``, and each row is reduced by
+    ``np.add.reduce`` (pairwise, as ``np.sum``), so a profile's bits do not
+    depend on the batch it is evaluated in.  Fixed terms from the left fold
+    into one row, computed once per call, and a fixed term after a varying
+    one is one row added to every profile: the same floats in the same
+    order, so a scalar coordinate becomes one row for the whole batch and
+    the bits do not depend on which coordinates are fixed.
     """
     counts, log_coef = _terms(s)[:2]
     # can round one ulp below zero on the simplex edge; _log takes that as 0
     idle = (1.0 - tau1) - tau2
     head, varying = log_coef, []
-    for t, log_t, n in zip((tau1, tau2, idle), (*logs, None), counts):
+    for t, n in zip((tau1, tau2, idle), counts):
         if isinstance(t, np.ndarray):
-            varying.append((_logs(t) if log_t is None else log_t, n))
+            varying.append((_logs(t), n))
         elif varying:
             varying.append((_log(t) * n, None))
         else:
@@ -343,28 +347,9 @@ def _sums(s: Scenario, tau1, tau2, weights, logs=(None, None)):
     return sums
 
 
-def _throughput(s: Scenario, tau1, tau2, logs=(None, None)):
+def _throughput(s: Scenario, tau1, tau2):
     """The throughput column of ``_sums``: a (K,) array."""
-    return _sums(s, tau1, tau2, (_terms(s)[2],), logs)[0]
-
-
-def _evaluate(s: Scenario, tau1, tau2):
-    """Throughput and success probability of K profiles at once.
-
-    ``tau1`` and ``tau2`` are arrays (or scalars) broadcast to shape (K,);
-    returns two (K,) arrays.  Both columns of the one evaluation kernel,
-    ``_sums``, from which every throughput and success probability of the
-    package comes.  Each profile's trinomial log masses are summed in the
-    same order, its logs are taken by ``math.log`` and each row is reduced by
-    ``np.add.reduce`` (pairwise, as ``np.sum``), so a profile's values do not
-    depend on the batch it is evaluated in, nor on which coordinate is
-    fixed: a scalar (or single) coordinate gives one row for the whole batch.
-    """
-    tau1, tau2 = (np.array(t, dtype=float, ndmin=1) for t in (tau1, tau2))
-    tau1, tau2 = (t[0] if t.size == 1 else t for t in (tau1, tau2))
-    _, _, rate, decoded_users = _terms(s)
-    th, users = _sums(s, tau1, tau2, (rate, decoded_users))
-    return th, users / s.m
+    return _sums(s, tau1, tau2, (_terms(s)[2],))[0]
 
 
 def success_probability(s: Scenario, prof: PowerProfile) -> float:

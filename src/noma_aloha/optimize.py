@@ -6,9 +6,7 @@ derivative-free: alternating 1-D maximisations (coarse grid scan plus bracket
 refinement) until the improvement drops below a tolerance.  An exhaustive
 simplex grid search doubles as a validation oracle.  Both evaluate their
 sample points in batches through the model's one evaluation kernel, reducing
-only the throughput.  Every coarse scan, and every oracle row, starts with the
-points k*step from 0; those points and their logs are taken once per step and
-cached, and each scan takes a prefix of them.
+only the throughput.
 
 The coarse scans of the ascent are pruned.  Each term of the mixture is
 log-concave along the scanned axis, so its largest value on a run of samples
@@ -23,11 +21,10 @@ refinement scans and the oracle stay exhaustive.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .model import _BLOCK_ELEMENTS, _LOG_ZERO, Scenario, _log, _logs, _terms, _throughput
+from .model import _BLOCK_ELEMENTS, _LOG_ZERO, Scenario, _log, _terms, _throughput
 
 # not called here any more: the benchmark's layer probe and traced runs patch
 # ``optimize.average_throughput`` by name, so the name stays importable
@@ -98,63 +95,40 @@ class OptimizationResult:
 _SCAN_PIECE = 1 << 16
 
 
-@lru_cache(maxsize=1)
-def _grid_points(step, size):
-    xs = np.arange(size) * step
-    logs = _logs(xs)
-    xs.flags.writeable = logs.flags.writeable = False
-    return xs, logs
-
-
-def _grid(step):
-    """The points k*step, k = 0, 1, ..., that every scan from 0 with this
-    step starts with, and their logs.  Enough points to pass 1, but at most
-    _SCAN_PIECE (read at call time); cached for the last step asked for."""
-    return _grid_points(step, int(min(_SCAN_PIECE, 1.0 / step + 2)))
-
-
-def _samples(lo, end, step, keep, tail=(), grid=None):
-    """Pairs (xs, logs): xs holds lo + k*step for k = 0, 1, ... while keep(x)
-    holds, then ``tail``, in pieces of at most _SCAN_PIECE points.
+def _samples(lo, end, step, keep, tail=()):
+    """Arrays of lo + k*step for k = 0, 1, ... while keep(x) holds, then
+    ``tail``, in pieces of at most _SCAN_PIECE points.
 
     numpy forms k*step and the sum in the same floats as the scalar loop
     ``x = lo + k * step``; ``end`` estimates where keep first fails and only
-    sizes the pieces.  ``grid``, from ``_grid(step)`` when lo == 0, supplies
-    the first piece with its logs; other pieces come with logs None.
+    sizes the pieces.
     """
     size = int(min(_SCAN_PIECE, (end - lo) / step + 3))
     k = 0
     while True:
-        if k == 0 and grid is not None:
-            xs, logs = grid
-        else:
-            xs, logs = lo + np.arange(k, k + size) * step, None
+        xs = lo + np.arange(k, k + size) * step
         n = int(np.count_nonzero(keep(xs)))  # a prefix: xs never decreases
         if n < xs.size:
             xs = np.concatenate((xs[:n], tail))
-            if logs is not None:
-                logs = np.concatenate((logs[:n], [_log(x) for x in tail]))
             if xs.size:
-                yield xs, logs
+                yield xs
             return
-        yield xs, logs
+        yield xs
         k += xs.size
 
 
-def _scan(f, lo, hi, step, grid=None):
+def _scan(f, lo, hi, step):
     """Maximise f on [lo, hi] sampled at lo + k*step plus the hi endpoint.
 
-    f maps an array of arguments and their logs (None when not taken yet)
-    to an array of values; ``grid`` is passed on to ``_samples``.  Ties keep
-    the first (smallest) argument, as np.argmax does, so results are
-    deterministic.
+    f maps an array of arguments to an array of values.  Ties keep the first
+    (smallest) argument, as np.argmax does, so results are deterministic.
     """
-    pieces = [(np.array([lo]), None)]
+    pieces = [np.array([lo])]
     if hi > lo:
-        pieces = _samples(lo, hi, step, lambda x: x < hi, tail=[hi], grid=grid)
+        pieces = _samples(lo, hi, step, lambda x: x < hi, tail=[hi])
     best_x, best_f = lo, -math.inf
-    for xs, logs in pieces:
-        fx = f(xs, logs)
+    for xs in pieces:
+        fx = f(xs)
         i = int(np.argmax(fx))
         if fx[i] > best_f:
             best_x, best_f = float(xs[i]), float(fx[i])
@@ -228,7 +202,7 @@ def _interval_bounds(s: Scenario, axis: int, fixed: float, xs):
 
 
 def _pruned_scan(f, bounds, hi, step):
-    """``_scan(f, 0, hi, step, _grid(step))``, with f evaluated only on the
+    """``_scan(f, 0, hi, step)``, with f evaluated only on the
     runs of samples whose bound does not rule them out.
 
     ``bounds(xs)`` bounds f from above on each run of _INTERVAL consecutive
@@ -241,29 +215,29 @@ def _pruned_scan(f, bounds, hi, step):
     are kept between the two passes, so memory stays bounded at any step.
     """
     def pieces():
-        return _samples(0.0, hi, step, lambda x: x < hi, tail=[hi], grid=_grid(step))
+        return _samples(0.0, hi, step, lambda x: x < hi, tail=[hi])
 
     piece_bounds, top, offset = [], None, 0
-    for xs, logs in pieces():
+    for xs in pieces():
         b = bounds(xs)
         j = int(np.argmax(b))
         if top is None or b[j] > top[0]:
             run = slice(j * _INTERVAL, (j + 1) * _INTERVAL)
-            top = b[j], offset + run.start, xs[run], None if logs is None else logs[run]
+            top = b[j], offset + run.start, xs[run]
         piece_bounds.append(b)
         offset += xs.size
-    _, first, xs, logs = top
+    _, first, xs = top
     stop = first + xs.size
-    fx = f(xs, logs)
+    fx = f(xs)
     i = int(np.argmax(fx))
     best_k, best_x, best_f = first + i, xs[i], fx[i]
     offset = 0
-    for b, (xs, logs) in zip(piece_bounds, pieces()):
+    for b, xs in zip(piece_bounds, pieces()):
         keep = np.repeat(~(b < best_f), _INTERVAL)[: xs.size]
         keep[max(0, first - offset) : max(0, stop - offset)] = False
         k = np.flatnonzero(keep)
         if k.size:
-            fx = f(xs[k], None if logs is None else logs[k])
+            fx = f(xs[k])
             i = int(np.argmax(fx))
             if fx[i] > best_f or (fx[i] == best_f and offset + k[i] < best_k):
                 best_k, best_x, best_f = offset + k[i], xs[k[i]], fx[i]
@@ -291,10 +265,10 @@ def _maximize_over(s: Scenario, axis: int, fixed: float, cfg: AscentConfig):
     if not 0.0 <= fixed <= 1.0:
         raise ValueError(f"{('tau2', 'tau1')[axis]} must lie in [0, 1]")
 
-    def throughput(xs, logs):
+    def throughput(xs):
         if axis == 0:
-            return _throughput(s, xs, fixed, logs=(logs, None))
-        return _throughput(s, fixed, xs, logs=(None, logs))
+            return _throughput(s, xs, fixed)
+        return _throughput(s, fixed, xs)
 
     def bounds(xs):
         return _interval_bounds(s, axis, fixed, xs)
@@ -364,12 +338,10 @@ def grid_search_oracle(s: Scenario, step: float) -> OptimizationResult:
     _check_oracle_step(step)
     best_th = -1.0
     best = (0.0, 0.0)
-    grid = _grid(step)
     i = 0
     while (tau1 := i * step) <= 1.0:
-        row = _samples(0.0, 1.0 - tau1, step, lambda x: tau1 + x <= 1.0, grid=grid)
-        for tau2, logs in row:
-            th = _throughput(s, tau1, tau2, logs=(None, logs))
+        for tau2 in _samples(0.0, 1.0 - tau1, step, lambda x: tau1 + x <= 1.0):
+            th = _throughput(s, tau1, tau2)
             j = int(np.argmax(th))
             if th[j] > best_th:
                 best_th, best = float(th[j]), (tau1, float(tau2[j]))

@@ -1,21 +1,28 @@
 """End-to-end tests of the command-line interface."""
 
+import contextlib
 import csv
 import io
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noma_aloha import cli
 from noma_aloha.cli import main
 from noma_aloha.model import (
+    CountPair,
     PowerProfile,
     Scenario,
     average_throughput,
+    decode_feasibility,
     success_probability,
 )
 from noma_aloha.simulate import SimConfig
+from support import boundary_scenarios, random_scenario
 
 
 def run_cli(args, capsys):
@@ -63,7 +70,6 @@ class TestRegion:
             raise AssertionError("region built before the row count check")
 
         monkeypatch.setattr(cli, "region_bounds", no_work)
-        monkeypatch.setattr(cli, "decode_feasibility", no_work)
         code, out, err = run_cli(["region", "--m", "11"], capsys)
         assert code == 2
         assert out == ""
@@ -73,6 +79,30 @@ class TestRegion:
         code, _, err = run_cli(["region", "--v2", "9"], capsys)
         assert code == 2
         assert "v1 > v2 > 0" in err
+
+    @staticmethod
+    def check_flags_match_inequalities(s):
+        args = ["region", "--m", str(s.m), "--v1", repr(s.v1), "--v2", repr(s.v2)]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            assert main(args + ["--gamma", repr(s.gamma)]) == 0
+        rows = parse_csv(out.getvalue())
+        assert len(rows) == (s.m + 1) * (s.m + 2) // 2
+        for row in rows:
+            flags = decode_feasibility(s, CountPair(int(row["n1"]), int(row["n2"])))
+            want = [cli._cell(flags.high_ok), cli._cell(flags.low_ok)]
+            assert [row["high_ok"], row["low_ok"]] == want, row
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_random_scenario_flags_match_inequalities(self, seed):
+        s = random_scenario(np.random.default_rng(seed), m_max=30, gamma_lo=0.05)
+        self.check_flags_match_inequalities(s)
+
+    @given(boundary_scenarios())
+    @settings(max_examples=60, deadline=None)
+    def test_boundary_scenario_flags_match_inequalities(self, s):
+        self.check_flags_match_inequalities(s)
 
 
 class TestAnalyze:
@@ -467,6 +497,83 @@ class TestSweep:
         )
         assert code == 2
         assert "integer" in err
+
+
+class TestUnwritablePaths:
+    """An output or trace path that cannot be written is a configuration
+    error, found before any work starts and without writing any file."""
+
+    COMMANDS = [
+        ["region"],
+        ["analyze", "--tau1", "0.1", "--tau2", "0.1"],
+        ["optimize", "--oracle"],
+        ["simulate", "--tau1", "0.1", "--tau2", "0.1", "--slots", "100", "--replications", "2"],
+        ["sweep", "--axis", "m", "--start", "2", "--stop", "3", "--step", "1",
+         "--optimize", "--simulate", "--slots", "100", "--replications", "2"],
+    ]
+
+    @pytest.fixture
+    def work(self, monkeypatch):
+        calls = []
+
+        def record(name):
+            def no_work(*args, **kwargs):
+                calls.append(name)
+                raise AssertionError(f"{name} ran before the path check")
+            return no_work
+
+        for name in ("coordinate_ascent", "run_simulation"):
+            monkeypatch.setattr(cli, name, record(name))
+        return calls
+
+    def run_rejected(self, args, capsys, work):
+        code, out, err = run_cli(args, capsys)
+        assert code == 2, err
+        assert out == ""
+        assert err.startswith("config error: cannot write "), err
+        assert work == []
+        return err
+
+    @pytest.mark.parametrize("args", COMMANDS, ids=lambda a: a[0])
+    def test_output_in_missing_directory(self, args, tmp_path, capsys, work):
+        path = tmp_path / "missing" / "out.csv"
+        err = self.run_rejected(args + ["--output", str(path)], capsys, work)
+        assert "no directory" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("args", COMMANDS, ids=lambda a: a[0])
+    def test_output_is_a_directory(self, args, tmp_path, capsys, work):
+        err = self.run_rejected(args + ["--output", str(tmp_path)], capsys, work)
+        assert "not a file" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_output_from_config_file(self, tmp_path, capsys, work):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"output = {tmp_path / 'missing' / 'out.csv'}\n")
+        self.run_rejected(["optimize", "--config", str(cfg)], capsys, work)
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_trace_file_in_missing_directory(self, tmp_path, capsys, work):
+        # the output file exists already: it is not truncated
+        out = tmp_path / "out.csv"
+        out.write_text("kept\n")
+        args = self.COMMANDS[3] + ["--output", str(out)]
+        err = self.run_rejected(
+            args + ["--trace-file", str(tmp_path / "missing" / "t.csv")], capsys, work
+        )
+        assert "trace file" in err
+        assert out.read_text() == "kept\n"
+        assert list(tmp_path.iterdir()) == [out]
+
+    def test_trace_file_not_created_when_output_is_rejected(self, tmp_path, capsys, work):
+        trace = tmp_path / "t.csv"
+        args = self.COMMANDS[3] + ["--trace-file", str(trace)]
+        self.run_rejected(args + ["--output", str(tmp_path / "missing" / "out.csv")], capsys, work)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_trace_file_is_a_directory(self, tmp_path, capsys, work):
+        err = self.run_rejected(self.COMMANDS[3] + ["--trace-file", str(tmp_path)], capsys, work)
+        assert "not a file" in err
 
 
 class TestConfigFile:

@@ -354,7 +354,8 @@ class TestEvaluationKernel:
     def check_batch(s, profs):
         tau1 = np.array([prof.tau1 for prof in profs])
         tau2 = np.array([prof.tau2 for prof in profs])
-        th, p = model._evaluate(s, tau1, tau2)
+        th, users = model._sums(s, tau1, tau2, model._terms(s)[2:])
+        p = users / s.m
         expected = [reference_evaluate(s, prof) for prof in profs]
         assert list(zip(th.tolist(), p.tolist())) == expected
         assert th.tolist() == [average_throughput(s, prof) for prof in profs]
@@ -362,10 +363,8 @@ class TestEvaluationKernel:
         # blocks of one profile, and blocks that split the batch unevenly
         for block in (1, 3 * len(model._terms(s)[2]) + 1):
             with mock.patch.object(model, "_BLOCK_ELEMENTS", block):
-                assert [a.tolist() for a in model._evaluate(s, tau1, tau2)] == [
-                    th.tolist(),
-                    p.tolist(),
-                ]
+                got = model._sums(s, tau1, tau2, model._terms(s)[2:])
+                assert [a.tolist() for a in got] == [th.tolist(), users.tolist()]
         # one coordinate passed as a Python float, against the batch's other
         # coordinates where the pair stays on the simplex: one fixed row
         for fixed in {profs[0].tau1, profs[-1].tau1}:
@@ -380,9 +379,7 @@ class TestEvaluationKernel:
         expected = [reference_evaluate(s, prof) for prof in profs]
         xs = np.array(others)
         args = (fixed, xs) if axis == 0 else (xs, fixed)
-        th, p = model._evaluate(s, *args)
-        assert list(zip(th.tolist(), p.tolist())) == expected
-        # the kernel itself, given the float as it is and a batch of any size
+        # the float as it is: one row for a batch of any size
         th, users = model._sums(s, *args, model._terms(s)[2:])
         assert list(zip(th.tolist(), (users / s.m).tolist())) == expected
 
@@ -412,13 +409,14 @@ class TestEvaluationKernel:
         assert 1.0 - corners[-1].tau1 - corners[-1].tau2 < 0.0
         for s in (DEFAULTS, Scenario(1, 4.0, 1.5, 1.5), Scenario(10, 4.0, 1.5, 5.0)):
             self.check_batch(s, corners)
-        th, p = model._evaluate(Scenario(10, 4.0, 1.5, 5.0), [0.2, 0.5], [0.3, 0.5])
-        assert th.tolist() == [0.0, 0.0] and p.tolist() == [0.0, 0.0]
+        s = Scenario(10, 4.0, 1.5, 5.0)
+        th, users = model._sums(s, np.array([0.2, 0.5]), np.array([0.3, 0.5]), model._terms(s)[2:])
+        assert th.tolist() == [0.0, 0.0] and users.tolist() == [0.0, 0.0]
 
     def test_scalar_coordinate_broadcasts(self):
         tau2 = np.linspace(0.0, 0.9, 50)
-        th, p = model._evaluate(DEFAULTS, 0.1, tau2)
-        assert th.shape == p.shape == (50,)
+        th, users = model._sums(DEFAULTS, 0.1, tau2, model._terms(DEFAULTS)[2:])
+        assert th.shape == users.shape == (50,)
         assert th.tolist() == [average_throughput(DEFAULTS, PowerProfile(0.1, t)) for t in tau2]
 
 

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from noma_aloha import model, optimize
-from noma_aloha.model import PowerProfile, Scenario, _evaluate, average_throughput
+from noma_aloha.model import PowerProfile, Scenario, average_throughput
 from noma_aloha.optimize import AscentConfig, coordinate_ascent, grid_search_oracle
 from support import boundary_scenarios, random_scenario, reference_oracle, reference_scan
 
@@ -106,7 +106,7 @@ class TestBatchedScan:
     @pytest.mark.parametrize("lo, hi, step", CASES)
     @pytest.mark.parametrize("s", [DEFAULTS, SINGLE, EMPTY, Scenario(50, 20.0, 2.0, 0.3)])
     def test_matches_reference_loop(self, s, lo, hi, step):
-        got = optimize._scan(lambda xs, _: _evaluate(s, 0.0, xs)[0], lo, hi, step)
+        got = optimize._scan(lambda xs: model._throughput(s, 0.0, xs), lo, hi, step)
         want = reference_scan(
             lambda x: average_throughput(s, PowerProfile(0.0, x)), lo, hi, step
         )
@@ -118,13 +118,13 @@ class TestBatchedScan:
         # a staircase with long runs of equal values; pieces of 4 end exactly
         # on the last sample below hi in the (0, 0.5, 0.125) case
         with mock.patch.object(optimize, "_SCAN_PIECE", piece):
-            got = optimize._scan(lambda xs, _: np.floor(xs * 3.0), lo, hi, step)
+            got = optimize._scan(lambda xs: np.floor(xs * 3.0), lo, hi, step)
         assert got == reference_scan(lambda x: float(math.floor(x * 3.0)), lo, hi, step)
 
 
 class TestGridScan:
-    """Scans from 0 start with the cached grid and its logs, and still visit
-    the scalar loop's floats and keep its argmax."""
+    """The ascent's coarse scans, from 0 along either axis with the other
+    coordinate fixed, visit the scalar loop's floats and keep its argmax."""
 
     CASES = [
         (1.0, 1e-3),  # the ascent's coarse scan with the other coordinate at 0
@@ -137,43 +137,39 @@ class TestGridScan:
     @staticmethod
     def kernel(s, axis, fixed):
         if axis == 0:
-            return lambda xs, logs: model._throughput(s, xs, fixed, logs=(logs, None))
-        return lambda xs, logs: model._throughput(s, fixed, xs, logs=(None, logs))
+            return lambda xs: model._throughput(s, xs, fixed)
+        return lambda xs: model._throughput(s, fixed, xs)
 
     @pytest.mark.parametrize("hi, step", CASES)
     @pytest.mark.parametrize("axis", [0, 1])
     @pytest.mark.parametrize("s", [DEFAULTS, EMPTY, Scenario(50, 20.0, 2.0, 0.3)])
     def test_matches_reference_loop(self, s, axis, hi, step):
         fixed = 1.0 - hi
-        got = optimize._scan(self.kernel(s, axis, fixed), 0.0, hi, step, optimize._grid(step))
+        got = optimize._scan(self.kernel(s, axis, fixed), 0.0, hi, step)
         profile = (lambda x: PowerProfile(x, fixed)) if axis == 0 else (lambda x: PowerProfile(fixed, x))
         want = reference_scan(lambda x: average_throughput(s, profile(x)), 0.0, hi, step)
         assert got == want
 
     @pytest.mark.parametrize("piece", [1, 7, 64])
     def test_scan_longer_than_the_grid(self, piece):
-        # a grid of `piece` points, then fresh pieces without logs
+        # the kernel evaluates 991 samples in pieces of at most `piece`
         s = Scenario(50, 20.0, 2.0, 0.3)
         want = reference_scan(
             lambda x: average_throughput(s, PowerProfile(0.01, x)), 0.0, 0.99, 1e-3
         )
+        sizes = []
+
+        def kernel(xs):
+            sizes.append(xs.size)
+            return self.kernel(s, 1, 0.01)(xs)
+
         with mock.patch.object(optimize, "_SCAN_PIECE", piece):
-            grid = optimize._grid(1e-3)
-            assert grid[0].size == piece
-            got = optimize._scan(self.kernel(s, 1, 0.01), 0.0, 0.99, 1e-3, grid)
+            got = optimize._scan(kernel, 0.0, 0.99, 1e-3)
         assert got == want
+        assert sum(sizes) == 991 and max(sizes) == piece
 
-    def test_grid_points_are_the_scan_floats(self):
-        for step in (1e-3, 0.01, 0.3, 0.125):
-            xs, logs = optimize._grid(step)
-            assert xs.tolist() == [k * step for k in range(xs.size)]
-            assert logs.tolist() == [model._log(x) for x in xs.tolist()]
-            assert xs[-1] > 1.0 and not xs.flags.writeable
-
-    def test_cache_stays_bounded_on_a_fine_step(self):
-        # 500 001 coarse points: the grid keeps the first _SCAN_PIECE, the
-        # rest are scanned in fresh pieces
-        optimize._grid_points.cache_clear()
+    def test_memory_stays_bounded_on_a_fine_step(self):
+        # 500 001 coarse points, scanned in pieces of at most _SCAN_PIECE
         tracemalloc.start()
         try:
             tau2, th = optimize._maximize_over(DEFAULTS, 1, 0.0, AscentConfig(grid_step=2e-6))
@@ -182,8 +178,6 @@ class TestGridScan:
             tracemalloc.stop()
         assert th > 0.0
         assert peak < 8 * 2**20, peak
-        assert optimize._grid_points.cache_info().currsize == 1
-        assert optimize._grid(2e-6)[0].size == optimize._SCAN_PIECE
 
 
 @st.composite
@@ -219,15 +213,13 @@ class TestPrunedScan:
         with mock.patch.object(optimize, "_SCAN_PIECE", piece), mock.patch.object(
             optimize, "_INTERVAL", interval
         ):
-            full = optimize._scan(f, 0.0, hi, step, optimize._grid(step))
+            full = optimize._scan(f, 0.0, hi, step)
             pruned = optimize._pruned_scan(
                 f, lambda xs: optimize._interval_bounds(s, axis, fixed, xs), hi, step
             )
             pieces = [
-                (f(xs, logs), optimize._interval_bounds(s, axis, fixed, xs))
-                for xs, logs in optimize._samples(
-                    0.0, hi, step, lambda x: x < hi, tail=[hi], grid=optimize._grid(step)
-                )
+                (f(xs), optimize._interval_bounds(s, axis, fixed, xs))
+                for xs in optimize._samples(0.0, hi, step, lambda x: x < hi, tail=[hi])
             ]
         return full, pruned, pieces
 
@@ -264,7 +256,7 @@ class TestPrunedScan:
         xs = np.linspace(0.0, 1.0 - fixed, 20_001)
         with mock.patch.object(optimize, "_INTERVAL", 1):
             bounds = optimize._interval_bounds(s, axis, fixed, xs)
-        values = TestGridScan.kernel(s, axis, fixed)(xs, None)
+        values = TestGridScan.kernel(s, axis, fixed)(xs)
         assert np.all(bounds >= values), int(np.sum(bounds < values))
 
     @pytest.mark.parametrize("fixed", [0.0, 0.3, 1.0 - 1e-9])
@@ -275,7 +267,7 @@ class TestPrunedScan:
         xs = np.array([0.0, 1e-3, 1.0 - fixed])
         with mock.patch.object(optimize, "_INTERVAL", 1):
             bounds = optimize._interval_bounds(s, axis, fixed, xs)
-        values = TestGridScan.kernel(s, axis, fixed)(xs, None)
+        values = TestGridScan.kernel(s, axis, fixed)(xs)
         assert np.all(bounds >= values)
         assert bounds[values == 0.0].tolist() == [0.0] * int(np.sum(values == 0.0))
 
@@ -284,21 +276,21 @@ class TestPrunedScan:
         kernel = TestGridScan.kernel(s, 1, 0.05)
         evaluated = []
 
-        def f(xs, logs):
+        def f(xs):
             evaluated.append(xs.size)
-            return kernel(xs, logs)
+            return kernel(xs)
 
         got = optimize._pruned_scan(
             f, lambda xs: optimize._interval_bounds(s, 1, 0.05, xs), 0.95, 1e-3
         )
-        assert got == optimize._scan(kernel, 0.0, 0.95, 1e-3, optimize._grid(1e-3))
+        assert got == optimize._scan(kernel, 0.0, 0.95, 1e-3)
         # of 951 samples
         assert sum(evaluated) < 200, evaluated
 
 
 # float.hex of (tau1_star, tau2_star, th_star) for m = 50, v1 = 20, v2 = 2,
-# recorded from the batched kernel before fixed coordinates became one row
-# and the coarse grid's logs were cached: both must leave every bit in place
+# recorded from the batched kernel before fixed coordinates became one row,
+# which must leave every bit in place
 PINNED = {
     (0.173, True): ("0x1.149a5657fb69ap-4", "0x1.7396d0917d6b5p-5", "0x1.645ce3e7d7f17p+2"),
     (0.173, False): ("0x1.149a5657fb69ap-4", "0x1.7396d0917d6b5p-5", "0x1.645ce3e7d7f17p+2"),
