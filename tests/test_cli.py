@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -620,3 +621,26 @@ class TestDeterminism:
         assert main(args + ["--output", str(b)]) == 0
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
+
+    # sha256 of the --output bytes, recorded before the kernel evaluated
+    # lines: the seed-13 optimize-sweep workload and a fine grid oracle
+    @pytest.mark.parametrize(
+        "args, digest",
+        [
+            (
+                "sweep --axis gamma --optimize --start 0.17259008491715475 --stop 1.6675900849171548"
+                " --step 0.13 --m 50 --v1 20.0 --v2 2.0 --tau1 0.02370515985929074"
+                " --tau2 0.011840819180161107",
+                "d172a99443d8597d248ef0c4bd70a692c3bd291e0792fe7ce9a20841c6ec87ad",
+            ),
+            (
+                "optimize --oracle --oracle-step 0.005 --m 50 --v1 20 --v2 2 --gamma 0.3",
+                "a3cade1376f3888bb17cefd79e3ee169aa9019c1ea2507cb943cd2f66c3d853e",
+            ),
+        ],
+    )
+    def test_optimizer_outputs_are_pinned(self, args, digest, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert main([*args.split(), "--output", str(out)]) == 0
+        capsys.readouterr()
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

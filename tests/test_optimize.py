@@ -288,24 +288,69 @@ class TestPrunedScan:
         assert sum(evaluated) < 200, evaluated
 
 
-# float.hex of (tau1_star, tau2_star, th_star) for m = 50, v1 = 20, v2 = 2,
-# recorded from the batched kernel before fixed coordinates became one row,
+# float.hex of (tau1_star, tau2_star, th_star), then outer_iterations and
+# len(trace), for m = 50, v1 = 20, v2 = 2 at the twelve gammas 0.173 + 0.13 k
+# of the optimize-sweep workload: recorded before the kernel evaluated lines,
 # which must leave every bit in place
 PINNED = {
-    (0.173, True): ("0x1.149a5657fb69ap-4", "0x1.7396d0917d6b5p-5", "0x1.645ce3e7d7f17p+2"),
-    (0.173, False): ("0x1.149a5657fb69ap-4", "0x1.7396d0917d6b5p-5", "0x1.645ce3e7d7f17p+2"),
-    (0.693, True): ("0x1.d3ed527e52158p-6", "0x1.50dae3e6c4c5ap-8", "0x1.736f45ae59d60p+1"),
-    (0.693, False): ("0x1.d3ed527e52158p-6", "0x1.50dae3e6c4c5ap-8", "0x1.736f45ae59d60p+1"),
-    (1.603, True): ("0x1.23f67f4dbdf8fp-6", "0x1.32b55ef1fddecp-7", "0x1.c3fa22b3516f8p+0"),
-    (1.603, False): ("0x1.2378ab0c88a48p-6", "0x1.33b107746887bp-7", "0x1.c3fa0a56bdcb9p+0"),
+    (0.173, True): ("0x1.149a5657fb69ap-4", "0x1.7396d0917d6b5p-5", "0x1.645ce3e7d7f17p+2", 3, 6),
+    (0.173, False): ("0x1.149a5657fb69ap-4", "0x1.7396d0917d6b5p-5", "0x1.645ce3e7d7f17p+2", 3, 6),
+    (0.303, True): ("0x1.8240b780346dbp-5", "0x1.d1f601797cc3bp-7", "0x1.2297dfa70327bp+2", 3, 6),
+    (0.303, False): ("0x1.8201cd5f99c38p-5", "0x1.d78811b1d92b9p-7", "0x1.2297c467b74bep+2", 4, 7),
+    (0.433, True): ("0x1.3387160956c0dp-5", "0x1.5b573eab367a0p-7", "0x1.ed3299411c55bp+1", 4, 7),
+    (0.433, False): ("0x1.3387160956c0dp-5", "0x1.5b573eab367a0p-7", "0x1.ed3299411c55bp+1", 4, 7),
+    (0.563, True): ("0x1.b66f9335d249ep-6", "0x1.fc8f32378ab0dp-7", "0x1.85879ffbd8c65p+1", 3, 6),
+    (0.563, False): ("0x1.b59ddc1e7967cp-6", "0x1.fddebd9018e75p-7", "0x1.85878aa049c19p+1", 3, 6),
+    (0.693, True): ("0x1.d3ed527e52158p-6", "0x1.50dae3e6c4c5ap-8", "0x1.736f45ae59d60p+1", 3, 6),
+    (0.693, False): ("0x1.d3ed527e52158p-6", "0x1.50dae3e6c4c5ap-8", "0x1.736f45ae59d60p+1", 3, 6),
+    (0.823, True): ("0x1.d7342edbb59dep-6", "0x1.d7dbf487fcb92p-9", "0x1.718324a8fa3a2p+1", 4, 7),
+    (0.823, False): ("0x1.d7342edbb59dep-6", "0x1.d7dbf487fcb92p-9", "0x1.718324a8fa3a2p+1", 4, 7),
+    (0.953, True): ("0x1.23f67f4dbdf8fp-6", "0x1.32b55ef1fddecp-7", "0x1.c3fa5fb84c15ap+0", 3, 6),
+    (0.953, False): ("0x1.2378ab0c88a48p-6", "0x1.33b107746887bp-7", "0x1.c3fa487294fe0p+0", 3, 6),
+    (1.083, True): ("0x1.23f67f4dbdf8fp-6", "0x1.32b55ef1fddecp-7", "0x1.c3fa5fb6cdab9p+0", 3, 6),
+    (1.083, False): ("0x1.2378ab0c88a48p-6", "0x1.33b107746887bp-7", "0x1.c3fa48710c112p+0", 3, 6),
+    (1.213, True): ("0x1.23f67f4dbdf8fp-6", "0x1.32b55ef1fddecp-7", "0x1.c3fa5f91f2412p+0", 3, 6),
+    (1.213, False): ("0x1.2378ab0c88a48p-6", "0x1.33b107746887bp-7", "0x1.c3fa484b4c484p+0", 3, 6),
+    (1.343, True): ("0x1.23f67f4dbdf8fp-6", "0x1.32b55ef1fddecp-7", "0x1.c3fa5c76ff066p+0", 3, 6),
+    (1.343, False): ("0x1.2378ab0c88a48p-6", "0x1.33b107746887bp-7", "0x1.c3fa451fb569dp+0", 3, 6),
+    (1.473, True): ("0x1.23f67f4dbdf8fp-6", "0x1.32b55ef1fddecp-7", "0x1.c3fa5c76ff066p+0", 3, 6),
+    (1.473, False): ("0x1.2378ab0c88a48p-6", "0x1.33b107746887bp-7", "0x1.c3fa451fb569dp+0", 3, 6),
+    (1.603, True): ("0x1.23f67f4dbdf8fp-6", "0x1.32b55ef1fddecp-7", "0x1.c3fa22b3516f8p+0", 3, 6),
+    (1.603, False): ("0x1.2378ab0c88a48p-6", "0x1.33b107746887bp-7", "0x1.c3fa0a56bdcb9p+0", 3, 6),
 }
+
+# the same record for a multi-piece coarse scan (500 001 samples at step
+# 2e-6) and for a large population
+PINNED_CONFIGS = {
+    "defaults-step-2e-6": (
+        DEFAULTS,
+        AscentConfig(grid_step=2e-6),
+        ("0x1.53319070d0f87p-4", "0x1.8407a189fdf03p-5", "0x1.09f45a7014062p+0", 4, 7),
+    ),
+    "m1000": (
+        Scenario(1000, 4.0, 1.5, 1.3),
+        AscentConfig(),
+        ("0x1.b328b6d86ec18p-11", "0x1.e2584f4c6e6dap-12", "0x1.f6e773eea3d4ap-1", 4, 7),
+    ),
+}
+
+
+def ascent_pin(s, cfg):
+    res = coordinate_ascent(s, cfg)
+    hexes = tuple(x.hex() for x in (res.tau1_star, res.tau2_star, res.th_star))
+    return (*hexes, res.outer_iterations, len(res.trace))
 
 
 @pytest.mark.parametrize("gamma, dual_start", sorted(PINNED))
 def test_ascent_endpoints_are_pinned(gamma, dual_start):
-    res = coordinate_ascent(Scenario(50, 20.0, 2.0, gamma), AscentConfig(dual_start=dual_start))
-    got = tuple(x.hex() for x in (res.tau1_star, res.tau2_star, res.th_star))
+    got = ascent_pin(Scenario(50, 20.0, 2.0, gamma), AscentConfig(dual_start=dual_start))
     assert got == PINNED[gamma, dual_start]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CONFIGS))
+def test_ascent_endpoints_are_pinned_beyond_the_sweep(name):
+    s, cfg, want = PINNED_CONFIGS[name]
+    assert ascent_pin(s, cfg) == want
 
 
 class TestCoordinateAscent:
