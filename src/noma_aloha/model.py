@@ -11,11 +11,12 @@ are Shannon spectral efficiencies, log2(1 + SINR) bits per slot per unit
 bandwidth.
 
 Everything here is a pure function of its arguments.  One summation table
-per scenario is cached (the last eight scenarios), and one kernel evaluates a
-whole batch of transmit probabilities over it, so the optimizer's scans stay
-cheap.  A coordinate that is the same for the whole batch (the fixed one of a
-scan, or both in a one-profile call) enters the kernel as one row computed
-once per call, and the kernel reduces only the columns its caller reads.
+per scenario is cached (the last eight scenarios), and one kernel evaluates
+it on a line of the simplex: one coordinate varies over a batch of points
+and the other is fixed.  The optimizer's scans and the grid oracle's rows
+are lines, and a single profile is a line of one point.  The fixed
+coordinate enters the kernel as one row computed once per line, and the
+kernel reduces only the weight column its caller reads.
 """
 
 import math
@@ -288,68 +289,72 @@ def _log(x) -> float:
     return math.log(x) if x > 0.0 else _LOG_ZERO
 
 
-def _logs(t):
-    """_log of each entry of a 1-D array.  math.log, not np.log: the
-    vectorised log may differ from math.log in the last place."""
-    out = np.full(t.shape, _LOG_ZERO)
-    pos = t > 0.0
-    out[pos] = np.fromiter(map(math.log, t[pos].tolist()), float)
-    return out
+# weight columns of _terms(s): the conditional layer rates, the decoded users
+_RATE, _USERS = 2, 3
 
 
-def _sums(s: Scenario, tau1, tau2, weights):
-    """Per-profile sums of ``w * pmf`` over the table, one (K,) array for
-    each weight column ``w`` of ``_terms(s)`` in ``weights``: the one
-    evaluation kernel, from which every throughput and success probability
-    of the package comes.
+def _line(s: Scenario, axis: int, fixed: float, column: int = _RATE):
+    """The one evaluation kernel, from which every throughput and success
+    probability of the package comes: the profiles on a line of the simplex.
 
-    ``tau1`` and ``tau2`` are each a scalar, fixed for every profile, or a
-    (K,) array.  A profile's log mass is ``((log_coef + a) + b) + c`` with
-    a, b, c the count-weighted logs of tau1, tau2 and the idle probability,
-    each log taken by ``math.log``, and each row is reduced by
-    ``np.add.reduce`` (pairwise, as ``np.sum``), so a profile's bits do not
-    depend on the batch it is evaluated in.  Fixed terms from the left fold
-    into one row, computed once per call, and a fixed term after a varying
-    one is one row added to every profile: the same floats in the same
-    order, so a scalar coordinate becomes one row for the whole batch and
-    the bits do not depend on which coordinates are fixed.
+    Coordinate ``axis`` (0: tau1, 1: tau2) varies and the other is held at
+    ``fixed``.  Returns ``sums(xs)``, which maps a 1-D array of values of
+    the varying coordinate to the (K,) sums of ``w * pmf`` over the table,
+    ``w`` the ``column`` of ``_terms(s)``.
+
+    A profile's log mass is ``((log_coef + a) + b) + c`` with a, b, c the
+    count-weighted logs of tau1, tau2 and the idle probability
+    ``(1 - tau1) - tau2``, each log taken by ``math.log``, and each row is
+    reduced by ``np.add.reduce`` (pairwise, as ``np.sum``), so a profile's
+    bits do not depend on the line or the batch it is evaluated in.  The
+    fixed coordinate's log enters as one row built here, once per line:
+    folded into the head along tau2, and added after the varying term along
+    tau1, the same floats in the same order.  Each call takes the logs of
+    its points and of their idle values in one pass.
     """
-    counts, log_coef = _terms(s)[:2]
-    # can round one ulp below zero on the simplex edge; _log takes that as 0
-    idle = (1.0 - tau1) - tau2
-    head, varying = log_coef, []
-    for t, n in zip((tau1, tau2, idle), counts):
-        if isinstance(t, np.ndarray):
-            varying.append((_logs(t), n))
-        elif varying:
-            varying.append((_log(t) * n, None))
-        else:
-            head = head + _log(t) * n
-    if not varying:  # one profile: the row is its log mass
-        pmf = np.exp(head)
-        return [np.sum(w * pmf, keepdims=True) for w in weights]
-    (first, first_n), *rest = varying
-    k = first.size
-    sums = [np.empty(k) for _ in weights]
-    rows = max(1, min(k, _BLOCK_ELEMENTS // max(1, log_coef.size)))
-    # two blocks of temporaries serve the whole call
-    log_p_buf, term_buf = np.empty((2, rows, log_coef.size))
-    for a in range(0, k, rows):
-        block = slice(a, a + rows)
-        log_p, term = log_p_buf[: k - a], term_buf[: k - a]
-        np.multiply.outer(first[block], first_n, out=log_p)
+    table = _terms(s)
+    counts, log_coef, weight = table[0], table[1], table[column]
+    n_x, n_idle = counts[axis], counts[2]
+    row = _log(fixed) * counts[1 - axis]
+    head, rows = (log_coef, (row,)) if axis == 0 else (log_coef + row, ())
+    size = log_coef.size
+
+    def weighted_pmf(log_x, log_idle, log_p=None, term=None):
+        log_p = np.multiply(log_x, n_x, out=log_p)
         log_p += head
-        for x, n in rest:
-            log_p += x if n is None else np.multiply.outer(x[block], n, out=term)
+        for r in rows:
+            log_p += r
+        log_p += np.multiply(log_idle, n_idle, out=term)
         pmf = np.exp(log_p, out=log_p)
-        for out, w in zip(sums, weights):
-            np.add.reduce(np.multiply(pmf, w, out=term), axis=1, out=out[block])
+        pmf *= weight
+        return pmf
+
+    def sums(xs):
+        k = xs.size
+        # can round one ulp below zero on the simplex edge; logged as 0
+        idle = (1.0 - xs) - fixed if axis == 0 else (1.0 - fixed) - xs
+        logs = np.array(
+            [math.log(v) if v > 0.0 else _LOG_ZERO for v in np.concatenate((xs, idle)).tolist()]
+        )
+        log_x, log_idle = logs[:k, None], logs[k:, None]
+        if k * size <= _BLOCK_ELEMENTS:
+            return np.add.reduce(weighted_pmf(log_x, log_idle), axis=1)
+        out = np.empty(k)
+        block = max(1, _BLOCK_ELEMENTS // size)
+        # two blocks of temporaries serve the whole call
+        log_p, term = np.empty((2, block, size))
+        for a in range(0, k, block):
+            b = slice(a, a + block)
+            pmf = weighted_pmf(log_x[b], log_idle[b], log_p[: k - a], term[: k - a])
+            np.add.reduce(pmf, axis=1, out=out[b])
+        return out
+
     return sums
 
 
-def _throughput(s: Scenario, tau1, tau2):
-    """The throughput column of ``_sums``: a (K,) array."""
-    return _sums(s, tau1, tau2, (_terms(s)[2],))[0]
+def _at(s: Scenario, prof: PowerProfile, column: int) -> float:
+    """The kernel at one profile: a line along tau2 through it."""
+    return float(_line(s, 1, prof.tau1, column)(np.array([prof.tau2]))[0])
 
 
 def success_probability(s: Scenario, prof: PowerProfile) -> float:
@@ -358,8 +363,17 @@ def success_probability(s: Scenario, prof: PowerProfile) -> float:
     Users are exchangeable, so this is the expected number of decoded users
     per slot divided by m, summed over the same table as the throughput.
     """
-    users = _sums(s, prof.tau1, prof.tau2, (_terms(s)[3],))[0]
-    return float(users[0] / s.m)
+    return _at(s, prof, _USERS) / s.m
+
+
+def _left_sum(terms) -> float:
+    """Plain left-to-right float sum.  Builtin sum() adds floats this way up
+    to Python 3.11 but compensates from 3.12 on, which moves the last bits of
+    the layer rates, and with them every throughput, with the interpreter."""
+    total = 0.0
+    for x in terms:
+        total += x
+    return total
 
 
 def cond_sum_rate_high(s: Scenario, pair: CountPair) -> float:
@@ -375,7 +389,7 @@ def cond_sum_rate_high(s: Scenario, pair: CountPair) -> float:
             f"counts ({pair.n1}, {pair.n2}) outside the high-layer decodable region"
         )
     n2v2 = pair.n2 * s.v2
-    return sum(
+    return _left_sum(
         math.log2(1.0 + s.v1 / ((i - 1) * s.v1 + n2v2 + 1.0))
         for i in range(1, pair.n1 + 1)
     )
@@ -388,7 +402,7 @@ def cond_sum_rate_low(s: Scenario, pair: CountPair) -> float:
         raise ValueError(
             f"counts ({pair.n1}, {pair.n2}) outside the low-layer decodable region"
         )
-    return sum(
+    return _left_sum(
         math.log2(1.0 + s.v2 / ((j - 1) * s.v2 + 1.0))
         for j in range(1, pair.n2 + 1)
     )
@@ -402,7 +416,7 @@ def average_throughput(s: Scenario, prof: PowerProfile) -> float:
     low layer then fails; the low layer's region already requires the high
     layer decoded.
     """
-    return float(_throughput(s, prof.tau1, prof.tau2)[0])
+    return _at(s, prof, _RATE)
 
 
 def baseline_success(s: Scenario, p: float) -> float:

@@ -4,9 +4,11 @@ The objective ``average_throughput(s, (tau1, tau2))`` is a polynomial mixture
 over the decodable count regions and can be multimodal, so the search is
 derivative-free: alternating 1-D maximisations (coarse grid scan plus bracket
 refinement) until the improvement drops below a tolerance.  An exhaustive
-simplex grid search doubles as a validation oracle.  Both evaluate their
-sample points in batches through the model's one evaluation kernel, reducing
-only the throughput.
+simplex grid search doubles as a validation oracle.  Each 1-D maximisation
+and each row of the oracle is a line of the model's one evaluation kernel,
+built once and evaluated on batches of sample points, reducing only the
+throughput.  A scan's samples are indexed by k; a sample's float is formed
+from k, and only for the samples a scan evaluates or bounds.
 
 The coarse scans of the ascent are pruned.  Each term of the mixture is
 log-concave along the scanned axis, so its largest value on a run of samples
@@ -16,6 +18,7 @@ The run with the largest bound is evaluated first, then only the runs whose
 bound is not below the best value found.  A skipped sample lies strictly
 below that value and the kernel gives a point the same bits in any batch, so
 the argmax, its ties and every output bit are those of the full scan.  The
+bounds' constants are computed once per scenario and once per line.  The
 refinement scans and the oracle stay exhaustive.
 """
 
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import _BLOCK_ELEMENTS, _LOG_ZERO, Scenario, _log, _terms, _throughput
+from .model import _BLOCK_ELEMENTS, _LOG_ZERO, Scenario, _line, _log, _terms
 
 # not called here any more: the benchmark's layer probe and traced runs patch
 # ``optimize.average_throughput`` by name, so the name stays importable
@@ -90,31 +93,64 @@ class OptimizationResult:
     trace: tuple[tuple[int, float, float, float], ...]
 
 
-# Sample points are built and evaluated at most this many at a time, so the
+# Sample points are formed and evaluated at most this many at a time, so the
 # scans and the oracle hold bounded memory at any step.
 _SCAN_PIECE = 1 << 16
 
 
-def _samples(lo, end, step, keep, tail=()):
-    """Arrays of lo + k*step for k = 0, 1, ... while keep(x) holds, then
-    ``tail``, in pieces of at most _SCAN_PIECE points.
+def _prefix(lo, step, keep, end):
+    """Number of k >= 0 with keep(lo + k*step), which holds on a prefix of
+    the k, as lo + k*step never decreases in k.  ``end`` estimates where
+    keep first fails; the count is exact whatever the estimate."""
+    k = max(0, int((end - lo) / step))
+    while k and not keep(lo + (k - 1) * step):
+        k -= 1
+    while keep(lo + k * step):
+        k += 1
+    return k
+
+
+def _grid(lo, hi, step):
+    """The samples of a scan of [lo, hi]: lo + k*step while below hi, then
+    hi itself (lo alone when hi <= lo).  Returns their count and
+    ``points``, which maps an ascending array of sample indices to floats.
 
     numpy forms k*step and the sum in the same floats as the scalar loop
-    ``x = lo + k * step``; ``end`` estimates where keep first fails and only
-    sizes the pieces.
+    ``x = lo + k * step``, so the count is that loop's, and a sample's
+    float does not depend on the indices it is formed with.
     """
-    size = int(min(_SCAN_PIECE, (end - lo) / step + 3))
-    k = 0
-    while True:
-        xs = lo + np.arange(k, k + size) * step
-        n = int(np.count_nonzero(keep(xs)))  # a prefix: xs never decreases
-        if n < xs.size:
-            xs = np.concatenate((xs[:n], tail))
-            if xs.size:
-                yield xs
-            return
-        yield xs
-        k += xs.size
+    if not hi > lo:
+        return 1, lambda k: lo + k * step
+    n = _prefix(lo, step, lambda x: x < hi, hi)
+
+    def points(k):
+        x = lo + k * step
+        if k[-1] == n:
+            x[-1] = hi
+        return x
+
+    return n + 1, points
+
+
+def _pieces(total):
+    """The sample indices 0..total-1 in pieces of at most _SCAN_PIECE."""
+    for a in range(0, total, _SCAN_PIECE):
+        yield np.arange(a, min(a + _SCAN_PIECE, total))
+
+
+def _best(f, points, pieces, best=(-1, math.nan, -math.inf)):
+    """(k, x, f(x)) of the first maximum of f over the samples of
+    ``pieces``, ascending index arrays, from ``best`` on: a larger value
+    wins, and an equal one only at a smaller index, as np.argmax's first
+    index.  f maps an array of points to an array of values."""
+    best_k, best_x, best_f = best
+    for k in pieces:
+        x = points(k)
+        fx = f(x)
+        i = int(fx.argmax())
+        if fx[i] > best_f or (fx[i] == best_f and k[i] < best_k):
+            best_k, best_x, best_f = k[i], x[i], fx[i]
+    return best_k, best_x, best_f
 
 
 def _scan(f, lo, hi, step):
@@ -123,20 +159,13 @@ def _scan(f, lo, hi, step):
     f maps an array of arguments to an array of values.  Ties keep the first
     (smallest) argument, as np.argmax does, so results are deterministic.
     """
-    pieces = [np.array([lo])]
-    if hi > lo:
-        pieces = _samples(lo, hi, step, lambda x: x < hi, tail=[hi])
-    best_x, best_f = lo, -math.inf
-    for xs in pieces:
-        fx = f(xs)
-        i = int(np.argmax(fx))
-        if fx[i] > best_f:
-            best_x, best_f = float(xs[i]), float(fx[i])
-    return best_x, best_f
+    total, points = _grid(lo, hi, step)
+    _, x, fx = _best(f, points, _pieces(total))
+    return float(x), float(fx)
 
 
 # Coarse-scan samples are bounded, and evaluated or skipped, in runs of this
-# many consecutive points of a piece.
+# many consecutive points.
 _INTERVAL = 32
 
 # The bound's exponent is raised by _REL_SLACK times the size of the logs it
@@ -151,10 +180,22 @@ def _log0(t):
     return np.log(t, out=np.full(t.shape, _LOG_ZERO), where=t > 0.0)
 
 
-def _interval_bounds(s: Scenario, axis: int, fixed: float, xs):
-    """Upper bounds on the kernel's throughput, coordinate ``axis`` at each
-    point of the nondecreasing ``xs`` and the other at ``fixed``: one per run
-    of _INTERVAL consecutive points, the last run possibly shorter.
+def _table_bounds(s: Scenario):
+    """The parts of the coarse-scan bounds that depend only on the
+    scenario's table: its counts, log coefficients and rates, the counts
+    scaled by 1 - _REL_SLACK, max(a + c, 1) for each axis and the additive
+    slack ``_REL_SLACK (4|L| + 2m) + _ABS_SLACK`` (see _line_bounds)."""
+    counts, log_coef, rate = _terms(s)[:3]
+    spread = np.maximum(counts[:2] + counts[2], 1.0)
+    slack = _REL_SLACK * (4.0 * np.abs(log_coef) + 2.0 * s.m) + _ABS_SLACK
+    return counts, log_coef, rate, counts * (1.0 - _REL_SLACK), spread, slack
+
+
+def _line_bounds(table, axis: int, fixed: float):
+    """Upper bounds on the kernel's throughput on runs of a line:
+    coordinate ``axis`` runs over [lo, hi] and the other is at ``fixed``.
+    Returns ``bounds(lo, hi)``, one bound per entry of the arrays of run
+    ends; ``table`` is ``_table_bounds(s)``.
 
     Along the axis, with a, b and c the term's axis, fixed and idle counts,
     a term's log mass ``g = L + b log(fixed) + a log(x) + c log(1 - fixed - x)``
@@ -165,84 +206,76 @@ def _interval_bounds(s: Scenario, axis: int, fixed: float, xs):
     ``budget`` = (1 - fixed) + 2**-50 in place of 1 - fixed.  The exponent
     is raised by ``_REL_SLACK (2|L| + m + |g|) + _ABS_SLACK``; as
     g <= L + m * 2**-50, ``g (1 - _REL_SLACK) + _REL_SLACK (4|L| + 2m) +
-    _ABS_SLACK`` is at least that.  A zero probability counts as _LOG_ZERO, as in the kernel, so a
-    term that vanishes there is exactly 0 here too.
+    _ABS_SLACK`` is at least that.  A zero probability counts as _LOG_ZERO,
+    as in the kernel, so a term that vanishes there is exactly 0 here too.
+    The peak and the head are computed once per line.
     """
-    counts, log_coef, rate = _terms(s)[:3]
-    a, b, c = counts[axis], counts[1 - axis], counts[2]
+    counts, log_coef, rate, scaled, spread, slack = table
     budget = (1.0 - fixed) + 2.0**-50
-    peak = a * budget / np.maximum(a + c, 1.0)
-    shrink = 1.0 - _REL_SLACK
-    head = (log_coef + _log(fixed) * b) * shrink
-    head += _REL_SLACK * (4.0 * np.abs(log_coef) + 2.0 * s.m) + _ABS_SLACK
-    a, c = a * shrink, c * shrink
-    lo, hi = xs[::_INTERVAL], xs[_INTERVAL - 1 :: _INTERVAL]
-    if hi.size < lo.size:
-        hi = np.append(hi, xs[-1])
-    # Where the kernel's idle probability is 0 at lo, it is 0 on the whole
-    # run, and so is every term with idle users.
-    idle_at_lo = (1.0 - lo) - fixed if axis == 0 else (1.0 - fixed) - lo
-    ends = (lo, hi, budget - hi, (budget - lo) * (idle_at_lo > 0.0))
-    logs = _log0(np.concatenate((peak, budget - peak, *ends)))
-    log_peak, idle_peak = logs[: peak.size], logs[peak.size : 2 * peak.size]
-    # idle falls as x rises, so its log at hi is the low end of its clip
-    log_lo, log_hi, idle_hi, idle_lo = logs[2 * peak.size :].reshape(4, lo.size, 1)
-    out = np.empty(lo.size)
+    peak = counts[axis] * budget / spread[axis]
+    head = (log_coef + _log(fixed) * counts[1 - axis]) * (1.0 - _REL_SLACK)
+    head += slack
+    log_peak, idle_peak = _log0(np.concatenate((peak, budget - peak))).reshape(2, -1)
+    a, c = scaled[axis], scaled[2]
     rows = max(1, _BLOCK_ELEMENTS // max(1, rate.size))
-    for r in range(0, lo.size, rows):
-        block = slice(r, r + rows)
-        g = np.minimum(np.maximum(log_peak, log_lo[block]), log_hi[block])
-        g *= a
-        g += head
-        log_idle = np.minimum(np.maximum(idle_peak, idle_hi[block]), idle_lo[block])
-        log_idle *= c
-        g += log_idle
-        out[block] = np.exp(g, out=g) @ rate
-    return out
+
+    def bounds(lo, hi):
+        out = np.empty(lo.size)
+        for r in range(0, lo.size, rows):
+            lo_r, hi_r = lo[r : r + rows], hi[r : r + rows]
+            # Where the kernel's idle probability is 0 at lo, it is 0 on the
+            # whole run, and so is every term with idle users.
+            idle_at_lo = (1.0 - lo_r) - fixed if axis == 0 else (1.0 - fixed) - lo_r
+            ends = (lo_r, hi_r, budget - hi_r, (budget - lo_r) * (idle_at_lo > 0.0))
+            # idle falls as x rises, so its log at hi is the low end of its clip
+            log_lo, log_hi, idle_hi, idle_lo = _log0(np.concatenate(ends)).reshape(4, -1, 1)
+            g = np.minimum(np.maximum(log_peak, log_lo), log_hi)
+            g *= a
+            g += head
+            log_idle = np.minimum(np.maximum(idle_peak, idle_hi), idle_lo)
+            log_idle *= c
+            g += log_idle
+            out[r : r + rows] = np.exp(g, out=g) @ rate
+        return out
+
+    return bounds
+
+
+def _run_samples(runs, total):
+    """The indices of the samples in the given ascending runs of _INTERVAL,
+    the last run of the scan possibly shorter, in pieces of at most
+    _SCAN_PIECE."""
+    per = max(1, _SCAN_PIECE // _INTERVAL)
+    for a in range(0, runs.size, per):
+        k = (runs[a : a + per, None] * _INTERVAL + np.arange(_INTERVAL)).ravel()
+        k = k[k < total]
+        for b in range(0, k.size, _SCAN_PIECE):
+            yield k[b : b + _SCAN_PIECE]
 
 
 def _pruned_scan(f, bounds, hi, step):
     """``_scan(f, 0, hi, step)``, with f evaluated only on the
     runs of samples whose bound does not rule them out.
 
-    ``bounds(xs)`` bounds f from above on each run of _INTERVAL consecutive
-    points of a piece.  The run with the largest bound is evaluated first;
-    then, in one call of f per piece, every other run whose bound is not
-    below the best value found so far.  A skipped point lies strictly below
-    that value, and f's value at a point does not depend on the batch it is
-    evaluated in, so the argmax, its first-index tie rule and every bit of
-    the result are those of the full scan.  Only the bounds of the pieces
-    are kept between the two passes, so memory stays bounded at any step.
+    ``bounds(lo, hi)`` bounds f from above on each run of _INTERVAL
+    consecutive samples, given the arrays of the runs' first and last
+    points.  The run with the largest bound is evaluated first; then, in one
+    call of f per piece, every other run whose bound is not below the best
+    value found so far.  A skipped point lies strictly below that value,
+    and f's value at a point does not depend on the batch it is evaluated
+    in, so the argmax, its first-index tie rule and every bit of the result
+    are those of the full scan.  Only the points of the runs' ends and of
+    the evaluated runs are formed, so memory stays bounded at any step.
     """
-    def pieces():
-        return _samples(0.0, hi, step, lambda x: x < hi, tail=[hi])
-
-    piece_bounds, top, offset = [], None, 0
-    for xs in pieces():
-        b = bounds(xs)
-        j = int(np.argmax(b))
-        if top is None or b[j] > top[0]:
-            run = slice(j * _INTERVAL, (j + 1) * _INTERVAL)
-            top = b[j], offset + run.start, xs[run]
-        piece_bounds.append(b)
-        offset += xs.size
-    _, first, xs = top
-    stop = first + xs.size
-    fx = f(xs)
-    i = int(np.argmax(fx))
-    best_k, best_x, best_f = first + i, xs[i], fx[i]
-    offset = 0
-    for b, xs in zip(piece_bounds, pieces()):
-        keep = np.repeat(~(b < best_f), _INTERVAL)[: xs.size]
-        keep[max(0, first - offset) : max(0, stop - offset)] = False
-        k = np.flatnonzero(keep)
-        if k.size:
-            fx = f(xs[k])
-            i = int(np.argmax(fx))
-            if fx[i] > best_f or (fx[i] == best_f and offset + k[i] < best_k):
-                best_k, best_x, best_f = offset + k[i], xs[k[i]], fx[i]
-        offset += xs.size
-    return float(best_x), float(best_f)
+    total, points = _grid(0.0, hi, step)
+    first = np.arange(0, total, _INTERVAL)
+    b = bounds(points(first), points(np.minimum(first + (_INTERVAL - 1), total - 1)))
+    j = int(np.argmax(b))
+    best = _best(f, points, _run_samples(np.array([j]), total))
+    keep = ~(b < best[2])
+    keep[j] = False
+    _, x, fx = _best(f, points, _run_samples(np.flatnonzero(keep), total), best)
+    return float(x), float(fx)
 
 
 def _maximize_1d(f, bounds, hi, cfg: AscentConfig):
@@ -258,25 +291,18 @@ def _maximize_1d(f, bounds, hi, cfg: AscentConfig):
     return x, fx
 
 
-def _maximize_over(s: Scenario, axis: int, fixed: float, cfg: AscentConfig):
+def _maximize_over(s: Scenario, table, axis: int, fixed: float, cfg: AscentConfig):
     """Best value of coordinate ``axis`` (0: tau1, 1: tau2) in [0, 1 - fixed]
     with the other coordinate held at ``fixed``, and the attained throughput.
-    Only the throughput column of the table is reduced."""
+    The line's kernel and bounds are built once and serve every scan of the
+    maximisation; ``table`` is ``_table_bounds(s)``."""
     if not 0.0 <= fixed <= 1.0:
         raise ValueError(f"{('tau2', 'tau1')[axis]} must lie in [0, 1]")
-
-    def throughput(xs):
-        if axis == 0:
-            return _throughput(s, xs, fixed)
-        return _throughput(s, fixed, xs)
-
-    def bounds(xs):
-        return _interval_bounds(s, axis, fixed, xs)
-
-    return _maximize_1d(throughput, bounds, 1.0 - fixed, cfg)
+    line = _line(s, axis, fixed)
+    return _maximize_1d(line, _line_bounds(table, axis, fixed), 1.0 - fixed, cfg)
 
 
-def _alternating_sweep(s: Scenario, cfg: AscentConfig, low_first: bool) -> OptimizationResult:
+def _alternating_sweep(s: Scenario, table, cfg: AscentConfig, low_first: bool) -> OptimizationResult:
     """One alternating maximisation run.
 
     ``low_first`` maximises tau2 first from tau1 = cfg.initial_tau1 (the
@@ -293,7 +319,7 @@ def _alternating_sweep(s: Scenario, cfg: AscentConfig, low_first: bool) -> Optim
     while outer < cfg.max_outer_iterations and not converged:
         outer += 1
         for axis in axes:
-            cand, th = _maximize_over(s, axis, tau[1 - axis], cfg)
+            cand, th = _maximize_over(s, table, axis, tau[1 - axis], cfg)
             if th - best > cfg.epsilon:
                 tau[axis] = cand
                 best = th
@@ -313,9 +339,10 @@ def coordinate_ascent(s: Scenario, cfg: AscentConfig | None = None) -> Optimizat
     reference sweep wins ties).
     """
     cfg = cfg or AscentConfig()
-    result = _alternating_sweep(s, cfg, low_first=True)
+    table = _table_bounds(s)
+    result = _alternating_sweep(s, table, cfg, low_first=True)
     if cfg.dual_start:
-        mirrored = _alternating_sweep(s, cfg, low_first=False)
+        mirrored = _alternating_sweep(s, table, cfg, low_first=False)
         if mirrored.th_star > result.th_star:
             result = mirrored
     return result
@@ -340,11 +367,11 @@ def grid_search_oracle(s: Scenario, step: float) -> OptimizationResult:
     best = (0.0, 0.0)
     i = 0
     while (tau1 := i * step) <= 1.0:
-        for tau2 in _samples(0.0, 1.0 - tau1, step, lambda x: tau1 + x <= 1.0):
-            th = _throughput(s, tau1, tau2)
-            j = int(np.argmax(th))
-            if th[j] > best_th:
-                best_th, best = float(th[j]), (tau1, float(tau2[j]))
+        row = _line(s, 1, tau1)
+        total = _prefix(0.0, step, lambda x: tau1 + x <= 1.0, 1.0 - tau1)
+        _, tau2, th = _best(row, lambda k: 0.0 + k * step, _pieces(total))
+        if th > best_th:
+            best_th, best = float(th), (tau1, float(tau2))
         i += 1
     tau1, tau2 = best
     return OptimizationResult(

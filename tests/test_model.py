@@ -317,6 +317,36 @@ class TestConditionalRates:
             cond_sum_rate_low(DEFAULTS, CountPair(1, 0))
 
 
+class TestLeftSum:
+    def test_adds_left_to_right(self):
+        # a compensated sum (math.fsum, or builtin sum from Python 3.12) gives 1.0
+        assert model._left_sum([1e16, 1.0, -1e16]) == 0.0
+        assert model._left_sum(iter([])) == 0.0
+        rng = np.random.default_rng(3)
+        for n in (1, 2, 7, 100):
+            xs = (rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)).tolist()
+            total = 0.0
+            for x in xs:
+                total += x
+            assert model._left_sum(xs).hex() == total.hex()
+
+    @pytest.mark.parametrize("s", [DEFAULTS, Scenario(50, 20.0, 2.0, 0.173), Scenario(50, 20.0, 2.0, 0.3)])
+    def test_layer_rates_are_left_to_right_sums(self, s):
+        b = region_bounds(s)
+        for n1 in range(1, b.high_max + 1):
+            for n2 in range(b.low_max_given_high[n1 - 1] + 1):
+                total = 0.0
+                for i in range(1, n1 + 1):
+                    total += math.log2(1.0 + s.v1 / ((i - 1) * s.v1 + n2 * s.v2 + 1.0))
+                assert cond_sum_rate_high(s, CountPair(n1, n2)) == total
+        for n2 in range(1, b.low_max + 1):
+            for n1 in range(b.high_max_given_low[n2 - 1] + 1):
+                total = 0.0
+                for j in range(1, n2 + 1):
+                    total += math.log2(1.0 + s.v2 / ((j - 1) * s.v2 + 1.0))
+                assert cond_sum_rate_low(s, CountPair(n1, n2)) == total
+
+
 class TestAverageThroughput:
     def test_zero_profile(self):
         assert average_throughput(DEFAULTS, PowerProfile(0.0, 0.0)) == 0.0
@@ -346,42 +376,53 @@ class TestAverageThroughput:
         )
 
 
+# fixed coordinates at the edges of the simplex and just inside them
+EDGE_FIXED = (0.0, 1.0, 1.0 - 1e-9, 1e-4, 7.5e-4)
+
+
 class TestEvaluationKernel:
-    """The batched kernel gives every profile the bits of the scalar formula
-    it replaced, whatever the batch and its blocking."""
+    """The line kernel gives every profile the bits of the scalar formula
+    it replaced, whatever the line, its length and its blocking."""
+
+    @staticmethod
+    def line(s, axis, fixed, xs):
+        """The kernel's throughput and success probability on a line."""
+        th = model._line(s, axis, fixed, model._RATE)(xs)
+        users = model._line(s, axis, fixed, model._USERS)(xs)
+        return th, users
 
     @staticmethod
     def check_batch(s, profs):
-        tau1 = np.array([prof.tau1 for prof in profs])
-        tau2 = np.array([prof.tau2 for prof in profs])
-        th, users = model._sums(s, tau1, tau2, model._terms(s)[2:])
-        p = users / s.m
+        # every profile as a line of one point: the public calls
         expected = [reference_evaluate(s, prof) for prof in profs]
-        assert list(zip(th.tolist(), p.tolist())) == expected
-        assert th.tolist() == [average_throughput(s, prof) for prof in profs]
-        assert p.tolist() == [success_probability(s, prof) for prof in profs]
-        # blocks of one profile, and blocks that split the batch unevenly
-        for block in (1, 3 * len(model._terms(s)[2]) + 1):
-            with mock.patch.object(model, "_BLOCK_ELEMENTS", block):
-                got = model._sums(s, tau1, tau2, model._terms(s)[2:])
-                assert [a.tolist() for a in got] == [th.tolist(), users.tolist()]
-        # one coordinate passed as a Python float, against the batch's other
-        # coordinates where the pair stays on the simplex: one fixed row
+        got = [(average_throughput(s, prof), success_probability(s, prof)) for prof in profs]
+        assert got == expected
+        # lines through the first and last profiles along either axis, over
+        # the other coordinate of every profile that stays on the simplex
         for fixed in {profs[0].tau1, profs[-1].tau1}:
-            TestEvaluationKernel.check_fixed(s, 0, fixed, [q.tau2 for q in profs])
+            TestEvaluationKernel.check_fixed(s, 1, fixed, [q.tau2 for q in profs])
         for fixed in {profs[0].tau2, profs[-1].tau2}:
-            TestEvaluationKernel.check_fixed(s, 1, fixed, [q.tau1 for q in profs])
+            TestEvaluationKernel.check_fixed(s, 0, fixed, [q.tau1 for q in profs])
 
     @staticmethod
     def check_fixed(s, axis, fixed, others):
+        """One line, axis 0 varying tau1 and axis 1 varying tau2, against the
+        scalar formula and the one-point calls, whole and in blocks."""
         others = [x for x in others if fixed + x <= 1.0]
-        profs = [PowerProfile(*((fixed, x) if axis == 0 else (x, fixed))) for x in others]
+        if not others:
+            return
+        profs = [PowerProfile(*((x, fixed) if axis == 0 else (fixed, x))) for x in others]
         expected = [reference_evaluate(s, prof) for prof in profs]
         xs = np.array(others)
-        args = (fixed, xs) if axis == 0 else (xs, fixed)
-        # the float as it is: one row for a batch of any size
-        th, users = model._sums(s, *args, model._terms(s)[2:])
+        th, users = TestEvaluationKernel.line(s, axis, fixed, xs)
         assert list(zip(th.tolist(), (users / s.m).tolist())) == expected
+        assert th.tolist() == [average_throughput(s, prof) for prof in profs]
+        assert (users / s.m).tolist() == [success_probability(s, prof) for prof in profs]
+        # blocks of one profile, and blocks that split the line unevenly
+        for block in (1, 3 * len(model._terms(s)[2]) + 1):
+            with mock.patch.object(model, "_BLOCK_ELEMENTS", block):
+                got = TestEvaluationKernel.line(s, axis, fixed, xs)
+                assert [a.tolist() for a in got] == [th.tolist(), users.tolist()]
 
     @given(st.integers(0, 2**32 - 1), st.lists(edge_profiles(), min_size=1, max_size=30))
     @settings(max_examples=60, deadline=None)
@@ -393,14 +434,28 @@ class TestEvaluationKernel:
     def test_boundary_scenarios_match_scalar_formula(self, s, profs):
         self.check_batch(s, profs)
 
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([0, 1]),
+        st.one_of(st.sampled_from(EDGE_FIXED), st.floats(0.0, 1e-3)),
+        st.lists(edge_profiles(), min_size=1, max_size=30),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_edge_fixed_values_match_scalar_formula(self, seed, axis, fixed, profs):
+        s = random_scenario(np.random.default_rng(seed), m_max=40)
+        self.check_fixed(s, axis, fixed, [q.tau1 for q in profs] + [q.tau2 for q in profs])
+
     def test_dense_batches_match_scalar_formula(self):
         # a last-place change in one log (np.log for math.log, say) moves
-        # well under 1 % of the profiles, so each batch is large
+        # well under 1 % of the profiles, so each line is long
         rng = np.random.default_rng(5)
         for s in (Scenario(50, 20.0, 2.0, 0.18), Scenario(200, 20.0, 2.0, 0.3), Scenario(20, 8.0, 2.0, 0.5)):
             tau1 = rng.uniform(0.0, 0.2, 400).tolist()
             tau2 = rng.uniform(0.0, 0.2, 400).tolist()
             self.check_batch(s, [PowerProfile(a, b) for a, b in zip(tau1, tau2)])
+            for fixed in EDGE_FIXED:
+                self.check_fixed(s, 0, fixed, tau1)
+                self.check_fixed(s, 1, fixed, tau2)
 
     def test_simplex_corners_and_empty_region(self):
         corners = [PowerProfile(*t) for t in ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.3, 0.7))]
@@ -409,13 +464,17 @@ class TestEvaluationKernel:
         assert 1.0 - corners[-1].tau1 - corners[-1].tau2 < 0.0
         for s in (DEFAULTS, Scenario(1, 4.0, 1.5, 1.5), Scenario(10, 4.0, 1.5, 5.0)):
             self.check_batch(s, corners)
+            # the lines through the ulp-below-zero corner along either axis
+            self.check_fixed(s, 1, corners[-1].tau1, [0.0, 0.5, corners[-1].tau2])
+            self.check_fixed(s, 0, corners[-1].tau2, [0.0, corners[-1].tau1])
         s = Scenario(10, 4.0, 1.5, 5.0)
-        th, users = model._sums(s, np.array([0.2, 0.5]), np.array([0.3, 0.5]), model._terms(s)[2:])
-        assert th.tolist() == [0.0, 0.0] and users.tolist() == [0.0, 0.0]
+        for axis, fixed, xs in ((1, 0.2, [0.3, 0.5]), (0, 0.5, [0.2, 0.5])):
+            th, users = self.line(s, axis, fixed, np.array(xs))
+            assert th.tolist() == [0.0, 0.0] and users.tolist() == [0.0, 0.0]
 
     def test_scalar_coordinate_broadcasts(self):
         tau2 = np.linspace(0.0, 0.9, 50)
-        th, users = model._sums(DEFAULTS, 0.1, tau2, model._terms(DEFAULTS)[2:])
+        th, users = self.line(DEFAULTS, 1, 0.1, tau2)
         assert th.shape == users.shape == (50,)
         assert th.tolist() == [average_throughput(DEFAULTS, PowerProfile(0.1, t)) for t in tau2]
 

@@ -30,6 +30,23 @@ def dense_scan_argmax(f, lo, hi, step):
     return best_x, best_f
 
 
+def maximize_over(s, axis, fixed, cfg):
+    return optimize._maximize_over(s, optimize._table_bounds(s), axis, fixed, cfg)
+
+
+def line_bounds(s, axis, fixed):
+    return optimize._line_bounds(optimize._table_bounds(s), axis, fixed)
+
+
+def run_bounds(s, axis, fixed, xs, interval):
+    """The line's bounds on each run of ``interval`` consecutive points of
+    the nondecreasing ``xs``, the last run possibly shorter."""
+    lo, hi = xs[::interval], xs[interval - 1 :: interval]
+    if hi.size < lo.size:
+        hi = np.append(hi, xs[-1])
+    return line_bounds(s, axis, fixed)(lo, hi)
+
+
 class TestAscentConfig:
     def test_defaults(self):
         cfg = AscentConfig()
@@ -51,16 +68,16 @@ class TestAscentConfig:
 
 class TestInnerMaximizations:
     def test_tau2_single_user_monotone(self):
-        tau2, th = optimize._maximize_over(SINGLE, 1, 0.0, AscentConfig())
+        tau2, th = maximize_over(SINGLE, 1, 0.0, AscentConfig())
         assert tau2 == 1.0
         assert th == pytest.approx(math.log2(2.5), rel=1e-12)
 
     def test_tau2_empty_interval(self):
-        tau2, _ = optimize._maximize_over(DEFAULTS, 1, 1.0, AscentConfig())
+        tau2, _ = maximize_over(DEFAULTS, 1, 1.0, AscentConfig())
         assert tau2 == 0.0
 
     def test_tau2_matches_dense_scan(self):
-        tau2, th = optimize._maximize_over(DEFAULTS, 1, 0.0, AscentConfig())
+        tau2, th = maximize_over(DEFAULTS, 1, 0.0, AscentConfig())
         ref_x, ref_f = dense_scan_argmax(
             lambda t: average_throughput(DEFAULTS, PowerProfile(0.0, t)), 0.0, 1.0, 1e-4
         )
@@ -68,16 +85,16 @@ class TestInnerMaximizations:
         assert th >= ref_f - 1e-9
 
     def test_tau1_single_user_monotone(self):
-        tau1, th = optimize._maximize_over(SINGLE, 0, 0.0, AscentConfig())
+        tau1, th = maximize_over(SINGLE, 0, 0.0, AscentConfig())
         assert tau1 == 1.0
         assert th == pytest.approx(math.log2(5.0), rel=1e-12)
 
     def test_tau1_empty_interval(self):
-        tau1, _ = optimize._maximize_over(DEFAULTS, 0, 1.0, AscentConfig())
+        tau1, _ = maximize_over(DEFAULTS, 0, 1.0, AscentConfig())
         assert tau1 == 0.0
 
     def test_tau1_matches_dense_scan(self):
-        tau1, th = optimize._maximize_over(DEFAULTS, 0, 0.0, AscentConfig())
+        tau1, th = maximize_over(DEFAULTS, 0, 0.0, AscentConfig())
         ref_x, ref_f = dense_scan_argmax(
             lambda t: average_throughput(DEFAULTS, PowerProfile(t, 0.0)), 0.0, 1.0, 1e-4
         )
@@ -86,9 +103,9 @@ class TestInnerMaximizations:
 
     def test_rejects_out_of_range_fixed_coordinate(self):
         with pytest.raises(ValueError):
-            optimize._maximize_over(DEFAULTS, 1, 1.2, AscentConfig())
+            maximize_over(DEFAULTS, 1, 1.2, AscentConfig())
         with pytest.raises(ValueError):
-            optimize._maximize_over(DEFAULTS, 0, -0.1, AscentConfig())
+            maximize_over(DEFAULTS, 0, -0.1, AscentConfig())
 
 
 class TestBatchedScan:
@@ -106,7 +123,7 @@ class TestBatchedScan:
     @pytest.mark.parametrize("lo, hi, step", CASES)
     @pytest.mark.parametrize("s", [DEFAULTS, SINGLE, EMPTY, Scenario(50, 20.0, 2.0, 0.3)])
     def test_matches_reference_loop(self, s, lo, hi, step):
-        got = optimize._scan(lambda xs: model._throughput(s, 0.0, xs), lo, hi, step)
+        got = optimize._scan(model._line(s, 1, 0.0), lo, hi, step)
         want = reference_scan(
             lambda x: average_throughput(s, PowerProfile(0.0, x)), lo, hi, step
         )
@@ -136,9 +153,7 @@ class TestGridScan:
 
     @staticmethod
     def kernel(s, axis, fixed):
-        if axis == 0:
-            return lambda xs: model._throughput(s, xs, fixed)
-        return lambda xs: model._throughput(s, fixed, xs)
+        return model._line(s, axis, fixed)
 
     @pytest.mark.parametrize("hi, step", CASES)
     @pytest.mark.parametrize("axis", [0, 1])
@@ -172,7 +187,7 @@ class TestGridScan:
         # 500 001 coarse points, scanned in pieces of at most _SCAN_PIECE
         tracemalloc.start()
         try:
-            tau2, th = optimize._maximize_over(DEFAULTS, 1, 0.0, AscentConfig(grid_step=2e-6))
+            tau2, th = maximize_over(DEFAULTS, 1, 0.0, AscentConfig(grid_step=2e-6))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -206,22 +221,19 @@ class TestPrunedScan:
 
     @staticmethod
     def scans(s, axis, fixed, step, interval, piece):
-        """The full and the pruned coarse scan, the kernel's values and the
-        bounds of each piece, all with the given run and piece sizes."""
+        """The full and the pruned coarse scan, and the kernel's values and
+        the bounds on every sample of the scan, all with the given run and
+        piece sizes."""
         f = TestGridScan.kernel(s, axis, fixed)
         hi = 1.0 - fixed
         with mock.patch.object(optimize, "_SCAN_PIECE", piece), mock.patch.object(
             optimize, "_INTERVAL", interval
         ):
             full = optimize._scan(f, 0.0, hi, step)
-            pruned = optimize._pruned_scan(
-                f, lambda xs: optimize._interval_bounds(s, axis, fixed, xs), hi, step
-            )
-            pieces = [
-                (f(xs), optimize._interval_bounds(s, axis, fixed, xs))
-                for xs in optimize._samples(0.0, hi, step, lambda x: x < hi, tail=[hi])
-            ]
-        return full, pruned, pieces
+            pruned = optimize._pruned_scan(f, line_bounds(s, axis, fixed), hi, step)
+        total, points = optimize._grid(0.0, hi, step)
+        xs = points(np.arange(total))
+        return full, pruned, f(xs), run_bounds(s, axis, fixed, xs, interval)
 
     @given(
         SCAN_SCENARIOS,
@@ -238,12 +250,11 @@ class TestPrunedScan:
     def test_matches_full_scan_and_bounds_cover_the_kernel(
         self, s, axis, fixed, step, interval, piece
     ):
-        full, pruned, pieces = self.scans(s, axis, fixed, step, interval, piece)
+        full, pruned, values, bounds = self.scans(s, axis, fixed, step, interval, piece)
         assert [v.hex() for v in pruned] == [v.hex() for v in full]
-        for values, bounds in pieces:
-            run_max = np.maximum.reduceat(values, np.arange(0, values.size, interval))
-            assert bounds.shape == run_max.shape
-            assert np.all(bounds >= run_max), (bounds - run_max).min()
+        run_max = np.maximum.reduceat(values, np.arange(0, values.size, interval))
+        assert bounds.shape == run_max.shape
+        assert np.all(bounds >= run_max), (bounds - run_max).min()
 
     @pytest.mark.parametrize("fixed", [0.0, 1e-5, 0.1])
     @pytest.mark.parametrize("axis", [0, 1])
@@ -254,8 +265,7 @@ class TestPrunedScan:
         # a run of one point bounds the kernel's own formula at that point,
         # so only the slack covers the rounding of logs, sums and exps
         xs = np.linspace(0.0, 1.0 - fixed, 20_001)
-        with mock.patch.object(optimize, "_INTERVAL", 1):
-            bounds = optimize._interval_bounds(s, axis, fixed, xs)
+        bounds = line_bounds(s, axis, fixed)(xs, xs)
         values = TestGridScan.kernel(s, axis, fixed)(xs)
         assert np.all(bounds >= values), int(np.sum(bounds < values))
 
@@ -265,8 +275,7 @@ class TestPrunedScan:
     def test_terms_the_kernel_zeroes_bound_exactly_zero(self, s, axis, fixed):
         # x = 0, fixed = 0 and idle = 0 make the kernel's terms exactly 0
         xs = np.array([0.0, 1e-3, 1.0 - fixed])
-        with mock.patch.object(optimize, "_INTERVAL", 1):
-            bounds = optimize._interval_bounds(s, axis, fixed, xs)
+        bounds = line_bounds(s, axis, fixed)(xs, xs)
         values = TestGridScan.kernel(s, axis, fixed)(xs)
         assert np.all(bounds >= values)
         assert bounds[values == 0.0].tolist() == [0.0] * int(np.sum(values == 0.0))
@@ -280,9 +289,7 @@ class TestPrunedScan:
             evaluated.append(xs.size)
             return kernel(xs)
 
-        got = optimize._pruned_scan(
-            f, lambda xs: optimize._interval_bounds(s, 1, 0.05, xs), 0.95, 1e-3
-        )
+        got = optimize._pruned_scan(f, line_bounds(s, 1, 0.05), 0.95, 1e-3)
         assert got == optimize._scan(kernel, 0.0, 0.95, 1e-3)
         # of 951 samples
         assert sum(evaluated) < 200, evaluated
