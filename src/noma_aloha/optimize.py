@@ -119,14 +119,13 @@ def _grid(lo, hi, step):
     ``x = lo + k * step``, so the count is that loop's, and a sample's
     float does not depend on the indices it is formed with.
     """
-    if not hi > lo:
-        return 1, lambda k: lo + k * step
     n = _prefix(lo, step, lambda x: x < hi, hi)
+    last = max(lo, hi)
 
     def points(k):
         x = lo + k * step
         if k[-1] == n:
-            x[-1] = hi
+            x[-1] = last
         return x
 
     return n + 1, points

@@ -280,6 +280,23 @@ class TestPrunedScan:
         assert np.all(bounds >= values)
         assert bounds[values == 0.0].tolist() == [0.0] * int(np.sum(values == 0.0))
 
+    @pytest.mark.parametrize("piece", [7, 64, optimize._SCAN_PIECE])
+    def test_ties_keep_the_first_sample(self, piece):
+        # a plateau from x = 1/3 on, under bounds that grow along the scan:
+        # the run evaluated first is the last one, and the plateau's first
+        # sample lies in an earlier run that ties with it
+        def f(xs):
+            return np.minimum(np.floor(xs * 3.0), 1.0)
+
+        def bounds(lo, hi):
+            return f(hi) + hi
+
+        with mock.patch.object(optimize, "_SCAN_PIECE", piece):
+            got = optimize._pruned_scan(f, bounds, 1.0, 1e-3)
+        want = reference_scan(lambda x: min(math.floor(x * 3.0), 1.0), 0.0, 1.0, 1e-3)
+        assert got == optimize._scan(f, 0.0, 1.0, 1e-3) == want
+        assert got[0] == 334 * 1e-3
+
     def test_skips_most_of_the_coarse_scan(self):
         s = Scenario(50, 20.0, 2.0, 0.3)
         kernel = TestGridScan.kernel(s, 1, 0.05)
