@@ -297,8 +297,8 @@ def _maximize_over(s: Scenario, table, axis: int, fixed: float, cfg: AscentConfi
     maximisation; ``table`` is ``_table_bounds(s)``."""
     if not 0.0 <= fixed <= 1.0:
         raise ValueError(f"{('tau2', 'tau1')[axis]} must lie in [0, 1]")
-    line = _line(s, axis, fixed)
-    return _maximize_1d(line, _line_bounds(table, axis, fixed), 1.0 - fixed, cfg)
+    bounds = _line_bounds(table, axis, fixed)
+    return _maximize_1d(_line(s, axis, fixed), bounds, 1.0 - fixed, cfg)
 
 
 def _alternating_sweep(s: Scenario, table, cfg: AscentConfig, low_first: bool) -> OptimizationResult:
@@ -368,7 +368,7 @@ def grid_search_oracle(s: Scenario, step: float) -> OptimizationResult:
     while (tau1 := i * step) <= 1.0:
         row = _line(s, 1, tau1)
         total = _prefix(0.0, step, lambda x: tau1 + x <= 1.0, 1.0 - tau1)
-        _, tau2, th = _best(row, lambda k: 0.0 + k * step, _pieces(total))
+        _, tau2, th = _best(row, lambda k: k * step, _pieces(total))
         if th > best_th:
             best_th, best = float(th), (tau1, float(tau2))
         i += 1
