@@ -638,6 +638,7 @@ class TestDeterminism:
                 "a3cade1376f3888bb17cefd79e3ee169aa9019c1ea2507cb943cd2f66c3d853e",
             ),
         ],
+        ids=["optimize-sweep-seed-13", "oracle-step-0.005"],
     )
     def test_optimizer_outputs_are_pinned(self, args, digest, tmp_path, capsys):
         out = tmp_path / "out.csv"
