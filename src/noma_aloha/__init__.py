@@ -3,7 +3,6 @@ model, throughput optimizer and validating Monte Carlo simulator."""
 
 from .model import (
     CountPair,
-    DecodeFlags,
     PowerProfile,
     RegionBounds,
     Scenario,
@@ -12,8 +11,6 @@ from .model import (
     baseline_success,
     cond_sum_rate_high,
     cond_sum_rate_low,
-    decode_feasibility,
-    joint_pmf,
     region_bounds,
     sinr_high,
     sinr_low,
@@ -28,7 +25,6 @@ from .optimize import (
 from .simulate import (
     SimConfig,
     SimStats,
-    SlotOutcome,
     run_simulation,
     sic_decode,
 )
@@ -39,13 +35,10 @@ __all__ = [
     "Scenario",
     "PowerProfile",
     "CountPair",
-    "DecodeFlags",
     "RegionBounds",
     "sinr_high",
     "sinr_low",
-    "decode_feasibility",
     "region_bounds",
-    "joint_pmf",
     "success_probability",
     "cond_sum_rate_high",
     "cond_sum_rate_low",
@@ -56,7 +49,6 @@ __all__ = [
     "OptimizationResult",
     "coordinate_ascent",
     "grid_search_oracle",
-    "SlotOutcome",
     "SimConfig",
     "SimStats",
     "sic_decode",

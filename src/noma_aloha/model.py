@@ -4,11 +4,11 @@
 transmits so that its received SNR at the access point is ``v1`` (probability
 ``tau1``) or ``v2`` (probability ``tau2``), or stays idle.  The receiver runs
 successive interference cancellation, strongest signals first; a signal is
-decoded when its float SINR satisfies ``SINR >= gamma``, the one predicate
-behind the decodability flags, the region bounds and the slot decoder.  Noise
-power is normalised to one, so ``v1`` and ``v2`` are received SNRs.  Rates
-are Shannon spectral efficiencies, log2(1 + SINR) bits per slot per unit
-bandwidth.
+decoded when its float SINR satisfies ``SINR >= gamma``, the test the slot
+decoder applies too.  ``region_bounds`` reads that test as integer caps and
+is the package's decodability query.  Noise power is normalised to one, so
+``v1`` and ``v2`` are received SNRs.  Rates are Shannon spectral
+efficiencies, log2(1 + SINR) bits per slot per unit bandwidth.
 
 Everything here is a pure function of its arguments.  One summation table
 per scenario is cached (the last eight scenarios), and one kernel evaluates
@@ -29,13 +29,10 @@ __all__ = [
     "Scenario",
     "PowerProfile",
     "CountPair",
-    "DecodeFlags",
     "RegionBounds",
     "sinr_high",
     "sinr_low",
-    "decode_feasibility",
     "region_bounds",
-    "joint_pmf",
     "success_probability",
     "cond_sum_rate_high",
     "cond_sum_rate_low",
@@ -103,14 +100,6 @@ class CountPair:
 
 
 @dataclass(frozen=True)
-class DecodeFlags:
-    """Whether the full high-power / low-power layer decodes under SIC."""
-
-    high_ok: bool
-    low_ok: bool
-
-
-@dataclass(frozen=True)
 class RegionBounds:
     """Largest transmitter counts that keep each SIC layer decodable.
 
@@ -136,13 +125,6 @@ class RegionBounds:
         return 1 <= n2 <= self.low_max and n1 <= self.high_max_given_low[n2 - 1]
 
 
-def _check_pair(s: Scenario, pair: CountPair):
-    if pair.n1 + pair.n2 > s.m:
-        raise ValueError(
-            f"counts ({pair.n1}, {pair.n2}) exceed the {s.m} users of the scenario"
-        )
-
-
 def sinr_high(s: Scenario, i: int, pair: CountPair) -> float:
     """SINR of the i-th decoded high-power signal, the previous i-1 cancelled."""
     if not 1 <= i <= pair.n1:
@@ -159,7 +141,9 @@ def sinr_low(s: Scenario, j: int, pair: CountPair) -> float:
 
 def _high_ok(s: Scenario, n1: int, n2: int) -> bool:
     """The high-layer half of the one decodability predicate: the first
-    (weakest) of n1 >= 1 high-power signals clears gamma."""
+    (weakest) of n1 >= 1 high-power signals clears gamma.  Later signals of
+    a layer face less interference, so the layer decodes fully iff its first
+    signal does."""
     return n1 >= 1 and sinr_high(s, 1, CountPair(n1, n2)) >= s.gamma
 
 
@@ -171,18 +155,6 @@ def _low_ok(s: Scenario, n1: int, n2: int) -> bool:
         and sinr_low(s, 1, CountPair(n1, n2)) >= s.gamma
         and (n1 == 0 or _high_ok(s, n1, n2))
     )
-
-
-def decode_feasibility(s: Scenario, pair: CountPair) -> DecodeFlags:
-    """Layer decodability straight from the SINR threshold inequalities.
-
-    The SINR of successive signals within a layer only grows as earlier ones
-    are cancelled, so a layer decodes fully iff its first signal does.  The
-    comparison is the float ``SINR >= gamma`` that the slot decoder uses, so
-    a gamma equal to an SINR value decodes.
-    """
-    _check_pair(s, pair)
-    return DecodeFlags(_high_ok(s, pair.n1, pair.n2), _low_ok(s, pair.n1, pair.n2))
 
 
 def _count_up(ok, start: int, stop: int) -> int:
@@ -199,8 +171,9 @@ def region_bounds(s: Scenario) -> RegionBounds:
 
     Each cap counts up until the decodability predicate fails.  One more
     transmitter of either power never raises a first-signal SINR (float
-    rounding is monotone), so every larger count fails too and the caps
-    agree with ``decode_feasibility`` on every pair.
+    rounding is monotone), so every larger count fails too and
+    ``in_high_region`` / ``in_low_region`` equal the predicate on every
+    pair.  A gamma equal to an SINR value decodes.
     """
     m = s.m
     high_max = _count_up(lambda n1: _high_ok(s, n1, 0), 1, m)
@@ -224,23 +197,6 @@ def _log_trinomial_coef(m: int, n1: int, n2: int) -> float:
         - math.lgamma(n2 + 1)
         - math.lgamma(m - n1 - n2 + 1)
     )
-
-
-def joint_pmf(s: Scenario, prof: PowerProfile, pair: CountPair) -> float:
-    """Probability that exactly n1 users pick high power and n2 pick low.
-
-    Trinomial mass, computed in log space (log-gamma factorials) and
-    exponentiated once, so it stays stable for large populations.
-    """
-    _check_pair(s, pair)
-    n1, n2 = pair.n1, pair.n2
-    log_p = _log_trinomial_coef(s.m, n1, n2)
-    for n, t in ((n1, prof.tau1), (n2, prof.tau2), (s.m - n1 - n2, prof.idle)):
-        if n:
-            if t == 0.0:
-                return 0.0
-            log_p += n * math.log(t)
-    return math.exp(log_p)
 
 
 # Profiles are evaluated in blocks of about this many profile x term

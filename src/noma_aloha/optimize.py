@@ -72,6 +72,12 @@ class AscentConfig:
             raise ValueError("max_outer_iterations must be at least 1")
         if self.refine_rounds < 0:
             raise ValueError("refine_rounds must be nonnegative")
+        # the finest width, divided as _maximize_1d does; stops at the first 0
+        width = self.grid_step
+        for _ in range(self.refine_rounds):
+            width /= 10.0
+            if width == 0.0:
+                raise ValueError("refine_rounds takes the refinement width to 0")
         if not 0.0 <= self.initial_tau1 <= 1.0:
             raise ValueError("initial_tau1 must lie in [0, 1]")
 

@@ -1,6 +1,9 @@
 """Shared test oracles: direct enumerations kept independent of the library's
-closed-form summation paths (exact combinatorics, feasibility by inequality),
-and the random and SINR-boundary scenarios they are checked on."""
+closed-form summation paths.  Their masses come from exact integer
+binomials, and each pair's decodability flags and decoded sum rate come from
+the slot decoder ``simulate.sic_decode``, which walks the whole SIC chain,
+not from the model's region.  Also the random and SINR-boundary scenarios
+they are checked on."""
 
 import math
 from math import comb
@@ -15,10 +18,10 @@ from noma_aloha.model import (
     PowerProfile,
     Scenario,
     average_throughput,
-    decode_feasibility,
     sinr_high,
     sinr_low,
 )
+from noma_aloha.simulate import sic_decode
 
 
 def all_pairs(m):
@@ -40,38 +43,34 @@ def trinomial_pmf(m, n1, n2, tau1, tau2):
     )
 
 
+def all_decodable(s):
+    """``s`` with gamma = v2 / (2 (v2 (m - 1) + 1)), half the smallest
+    first-signal SINR of any pair, so every pair decodes both of its layers
+    (``high_max == low_max == m``)."""
+    gamma = s.v2 / (2.0 * (s.v2 * (s.m - 1) + 1.0))
+    return Scenario(m=s.m, v1=s.v1, v2=s.v2, gamma=gamma)
+
+
 def brute_force_success(s, prof):
-    """Success probability by explicit enumeration over decode_feasibility."""
+    """Success probability by explicit enumeration over the slot decoder."""
     total_high = 0.0
     total_low = 0.0
     for n1, n2 in all_pairs(s.m):
-        flags = decode_feasibility(s, CountPair(n1, n2))
-        if flags.high_ok:
+        out = sic_decode(s, n1, n2)
+        if out.high_decoded:
             total_high += trinomial_pmf(s.m - 1, n1 - 1, n2, prof.tau1, prof.tau2)
-        if flags.low_ok:
+        if out.low_decoded:
             total_low += trinomial_pmf(s.m - 1, n1, n2 - 1, prof.tau1, prof.tau2)
     return prof.tau1 * total_high + prof.tau2 * total_low
 
 
 def brute_force_throughput(s, prof):
-    """Average throughput by explicit enumeration over decode_feasibility,
-    with per-user rates rebuilt from the SINR chain."""
-    total = 0.0
-    for n1, n2 in all_pairs(s.m):
-        flags = decode_feasibility(s, CountPair(n1, n2))
-        if not (flags.high_ok or flags.low_ok):
-            continue
-        p = trinomial_pmf(s.m, n1, n2, prof.tau1, prof.tau2)
-        pair = CountPair(n1, n2)
-        if flags.high_ok:
-            total += p * sum(
-                math.log2(1.0 + sinr_high(s, i, pair)) for i in range(1, n1 + 1)
-            )
-        if flags.low_ok:
-            total += p * sum(
-                math.log2(1.0 + sinr_low(s, j, pair)) for j in range(1, n2 + 1)
-            )
-    return total
+    """Average throughput by explicit enumeration over the slot decoder: each
+    pair's mass times the sum rate of the signals it decodes."""
+    return sum(
+        trinomial_pmf(s.m, n1, n2, prof.tau1, prof.tau2) * sic_decode(s, n1, n2).sum_rate
+        for n1, n2 in all_pairs(s.m)
+    )
 
 
 def reference_evaluate(s, prof):

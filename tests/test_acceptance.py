@@ -11,20 +11,18 @@ from scipy.optimize import minimize_scalar
 
 from noma_aloha.cli import main
 from noma_aloha.model import (
-    CountPair,
     PowerProfile,
     Scenario,
     average_throughput,
     baseline_optimum,
     baseline_success,
-    decode_feasibility,
-    joint_pmf,
     region_bounds,
     success_probability,
 )
 from noma_aloha.optimize import coordinate_ascent, grid_search_oracle
-from noma_aloha.simulate import SimConfig, run_simulation
+from noma_aloha.simulate import SimConfig, run_simulation, sic_decode
 from support import (
+    all_decodable,
     all_pairs,
     brute_force_throughput,
     random_profile,
@@ -47,16 +45,17 @@ def test_acceptance_01_region_bounds_match_inequalities():
         s = random_scenario(rng, m_max=20, v1_lo=1.0, v1_hi=20.0, gamma_lo=0.1, gamma_hi=5.0)
         b = region_bounds(s)
         for n1, n2 in all_pairs(s.m):
-            flags = decode_feasibility(s, CountPair(n1, n2))
-            if b.in_high_region(n1, n2) != flags.high_ok:
+            out = sic_decode(s, n1, n2)
+            if b.in_high_region(n1, n2) != out.high_decoded:
                 mismatches += 1
-            if b.in_low_region(n1, n2) != flags.low_ok:
+            if b.in_low_region(n1, n2) != out.low_decoded:
                 mismatches += 1
     elapsed = time.monotonic() - start
     _report(
         mismatches == 0 and elapsed < 60.0,
-        f"acceptance 1: closed-form bounds equal SINR feasibility on every pair "
-        f"of 200 random scenarios (mismatches={mismatches}, {elapsed:.1f}s < 60s)",
+        f"acceptance 1: closed-form bounds equal the SIC decoder's layer flags on "
+        f"every pair of 200 random scenarios (mismatches={mismatches}, "
+        f"{elapsed:.1f}s < 60s)",
     )
 
 
@@ -64,14 +63,14 @@ def test_acceptance_02_pmf_normalization():
     rng = np.random.default_rng(1002)
     worst = 0.0
     for _ in range(100):
-        s = random_scenario(rng, m_max=30)
+        # every pair decodes, so a user succeeds exactly when it transmits
+        s = all_decodable(random_scenario(rng, m_max=30))
         prof = random_profile(rng)
-        total = sum(joint_pmf(s, prof, CountPair(n1, n2)) for n1, n2 in all_pairs(s.m))
-        worst = max(worst, abs(total - 1.0))
+        worst = max(worst, abs(success_probability(s, prof) - (prof.tau1 + prof.tau2)))
     _report(
         worst <= 1e-12,
-        f"acceptance 2: count pmf sums to 1 within 1e-12 over 100 random cases "
-        f"(worst |sum-1|={worst:.2e})",
+        f"acceptance 2: where every pair decodes, success probability equals "
+        f"tau1 + tau2 within 1e-12 over 100 random cases (worst error={worst:.2e})",
     )
 
 

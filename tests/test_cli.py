@@ -15,14 +15,12 @@ from hypothesis import strategies as st
 from noma_aloha import cli
 from noma_aloha.cli import main
 from noma_aloha.model import (
-    CountPair,
     PowerProfile,
     Scenario,
     average_throughput,
-    decode_feasibility,
     success_probability,
 )
-from noma_aloha.simulate import SimConfig
+from noma_aloha.simulate import SimConfig, sic_decode
 from support import boundary_scenarios, random_scenario
 
 
@@ -90,8 +88,8 @@ class TestRegion:
         rows = parse_csv(out.getvalue())
         assert len(rows) == (s.m + 1) * (s.m + 2) // 2
         for row in rows:
-            flags = decode_feasibility(s, CountPair(int(row["n1"]), int(row["n2"])))
-            want = [cli._cell(flags.high_ok), cli._cell(flags.low_ok)]
+            out = sic_decode(s, int(row["n1"]), int(row["n2"]))
+            want = [cli._cell(out.high_decoded), cli._cell(out.low_decoded)]
             assert [row["high_ok"], row["low_ok"]] == want, row
 
     @given(st.integers(0, 2**32 - 1))
@@ -204,6 +202,20 @@ class TestOptimize:
         assert code == 2
         assert out == ""
         assert err == f"config error: {message}\n"
+
+    def test_refine_rounds_past_float_range_exits_2_before_the_ascent(self, capsys, monkeypatch):
+        def ascent(*args):
+            raise AssertionError("the ascent ran before the config was checked")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(cli, "coordinate_ascent", ascent)
+            code, out, err = run_cli(["optimize", "--refine-rounds", "330"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error: ")
+        code, out, _ = run_cli(["optimize", "--refine-rounds", "320"], capsys)
+        assert code == 0
+        assert parse_csv(out)[0]["converged"] == "true"
 
     def test_baseline_respects_gamma(self, capsys):
         # gamma above v1 = 4: a lone transmitter does not decode either

@@ -22,14 +22,14 @@ from noma_aloha.model import (
     baseline_success,
     cond_sum_rate_high,
     cond_sum_rate_low,
-    decode_feasibility,
-    joint_pmf,
     region_bounds,
     sinr_high,
     sinr_low,
     success_probability,
 )
+from noma_aloha.simulate import sic_decode
 from support import (
+    all_decodable,
     all_pairs,
     boundary_scenarios,
     brute_force_success,
@@ -38,7 +38,6 @@ from support import (
     near_threshold,
     random_scenario,
     reference_evaluate,
-    trinomial_pmf,
 )
 
 DEFAULTS = Scenario(m=10, v1=4.0, v2=1.5, gamma=1.5)
@@ -125,18 +124,22 @@ class TestSinr:
             assert all(a < b for a, b in zip(lows, lows[1:]))
 
 
+def assert_region_matches_decoder(s):
+    """region_bounds membership equals sic_decode's layer flags on every pair."""
+    b = region_bounds(s)
+    for n1, n2 in all_pairs(s.m):
+        out = sic_decode(s, n1, n2)
+        assert b.in_high_region(n1, n2) == out.high_decoded, (n1, n2)
+        assert b.in_low_region(n1, n2) == out.low_decoded, (n1, n2)
+
+
 class TestFeasibility:
     def test_examples(self):
-        flags = decode_feasibility(DEFAULTS, CountPair(1, 1))
-        assert flags.high_ok and flags.low_ok
-        flags = decode_feasibility(DEFAULTS, CountPair(2, 0))
-        assert not flags.high_ok and not flags.low_ok
-        flags = decode_feasibility(DEFAULTS, CountPair(0, 0))
-        assert not flags.high_ok and not flags.low_ok
-
-    def test_pair_exceeding_population_rejected(self):
-        with pytest.raises(ValueError):
-            decode_feasibility(DEFAULTS, CountPair(6, 5))
+        b = region_bounds(DEFAULTS)
+        for (n1, n2), want in (((1, 1), True), ((2, 0), False), ((0, 0), False)):
+            out = sic_decode(DEFAULTS, n1, n2)
+            assert b.in_high_region(n1, n2) == out.high_decoded == want
+            assert b.in_low_region(n1, n2) == out.low_decoded == want
 
     def test_bounds_examples(self):
         b = region_bounds(DEFAULTS)
@@ -152,20 +155,12 @@ class TestFeasibility:
         assert b.low_max == 0
 
     def test_bounds_match_feasibility_at_defaults(self):
-        b = region_bounds(DEFAULTS)
-        for n1, n2 in all_pairs(DEFAULTS.m):
-            flags = decode_feasibility(DEFAULTS, CountPair(n1, n2))
-            assert b.in_high_region(n1, n2) == flags.high_ok
-            assert b.in_low_region(n1, n2) == flags.low_ok
+        assert_region_matches_decoder(DEFAULTS)
 
     @given(scenarios())
     def test_bounds_match_feasibility(self, s):
         assume(not near_threshold(s))
-        b = region_bounds(s)
-        for n1, n2 in all_pairs(s.m):
-            flags = decode_feasibility(s, CountPair(n1, n2))
-            assert b.in_high_region(n1, n2) == flags.high_ok, (n1, n2)
-            assert b.in_low_region(n1, n2) == flags.low_ok, (n1, n2)
+        assert_region_matches_decoder(s)
 
     @given(scenarios())
     def test_bound_maps_nonincreasing(self, s):
@@ -177,18 +172,18 @@ class TestFeasibility:
 
     @given(scenarios())
     def test_downward_closure(self, s):
+        b = region_bounds(s)
         for n1, n2 in all_pairs(s.m):
-            flags = decode_feasibility(s, CountPair(n1, n2))
-            if flags.high_ok:
+            if b.in_high_region(n1, n2):
                 if n1 >= 2:
-                    assert decode_feasibility(s, CountPair(n1 - 1, n2)).high_ok
+                    assert b.in_high_region(n1 - 1, n2)
                 if n2 >= 1:
-                    assert decode_feasibility(s, CountPair(n1, n2 - 1)).high_ok
-            if flags.low_ok:
+                    assert b.in_high_region(n1, n2 - 1)
+            if b.in_low_region(n1, n2):
                 if n2 >= 2:
-                    assert decode_feasibility(s, CountPair(n1, n2 - 1)).low_ok
+                    assert b.in_low_region(n1, n2 - 1)
                 if n1 >= 1:
-                    assert decode_feasibility(s, CountPair(n1 - 1, n2)).low_ok
+                    assert b.in_low_region(n1 - 1, n2)
 
 
 class TestSinrBoundaries:
@@ -198,12 +193,8 @@ class TestSinrBoundaries:
     @settings(max_examples=150, deadline=None)
     def test_bounds_and_sums_match_brute_force(self, s, prof):
         """gamma equal to a float SINR: that signal decodes, and the bounds,
-        the flags and both sums follow the same float comparison."""
-        b = region_bounds(s)
-        for n1, n2 in all_pairs(s.m):
-            flags = decode_feasibility(s, CountPair(n1, n2))
-            assert b.in_high_region(n1, n2) == flags.high_ok, (n1, n2)
-            assert b.in_low_region(n1, n2) == flags.low_ok, (n1, n2)
+        the decoder's flags and both sums follow the same float comparison."""
+        assert_region_matches_decoder(s)
         assert average_throughput(s, prof) == pytest.approx(
             brute_force_throughput(s, prof), rel=0, abs=1e-12
         )
@@ -213,40 +204,57 @@ class TestSinrBoundaries:
 
 
 class TestJointPmf:
+    """The count pmf inside the kernel, seen where every pair decodes both
+    layers: there a user succeeds whenever it transmits, and the throughput
+    weighs every pair's mass."""
+
     def test_examples(self):
-        assert joint_pmf(DEFAULTS, PowerProfile(0.0, 0.0), CountPair(0, 0)) == 1.0
-        s2 = Scenario(m=2, v1=4.0, v2=1.5, gamma=1.5)
-        assert joint_pmf(s2, PowerProfile(0.25, 0.25), CountPair(1, 1)) == pytest.approx(
-            0.125, rel=1e-12
+        assert average_throughput(all_decodable(DEFAULTS), PowerProfile(0.0, 0.0)) == 0.0
+        # m = 2 at (0.25, 0.25): masses 0.25 of (1, 0) and (0, 1), 0.0625 of
+        # (2, 0) and (0, 2), 0.125 of (1, 1)
+        s2 = all_decodable(Scenario(m=2, v1=4.0, v2=1.5, gamma=1.5))
+        r1, r2 = math.log2(5.0), math.log2(2.5)
+        expected = (
+            0.25 * (r1 + r2)
+            + 0.0625 * (math.log2(1.0 + 4.0 / 5.0) + r1)
+            + 0.0625 * (math.log2(1.0 + 1.5 / 2.5) + r2)
+            + 0.125 * (math.log2(1.0 + 4.0 / 2.5) + r2)
         )
-        s1 = Scenario(m=1, v1=4.0, v2=1.5, gamma=1.5)
-        assert joint_pmf(s1, PowerProfile(0.3, 0.2), CountPair(1, 0)) == pytest.approx(
-            0.3, rel=1e-12
+        assert average_throughput(s2, PowerProfile(0.25, 0.25)) == pytest.approx(
+            expected, rel=0, abs=1e-12
+        )
+        s1 = all_decodable(Scenario(m=1, v1=4.0, v2=1.5, gamma=1.5))
+        assert average_throughput(s1, PowerProfile(0.3, 0.2)) == pytest.approx(
+            0.3 * r1 + 0.2 * r2, rel=0, abs=1e-12
         )
 
     @given(scenarios(m_max=25), profiles())
     @settings(max_examples=60)
     def test_matches_exact_combinatorial_form(self, s, prof):
-        for n1, n2 in all_pairs(s.m):
-            expected = trinomial_pmf(s.m, n1, n2, prof.tau1, prof.tau2)
-            assert joint_pmf(s, prof, CountPair(n1, n2)) == pytest.approx(
-                expected, rel=1e-11, abs=1e-300
-            )
+        s = all_decodable(s)
+        assert average_throughput(s, prof) == pytest.approx(
+            brute_force_throughput(s, prof), rel=0, abs=1e-12
+        )
 
     @given(scenarios(m_max=30), profiles())
     @settings(max_examples=100)
     def test_normalizes_to_one(self, s, prof):
-        total = sum(
-            joint_pmf(s, prof, CountPair(n1, n2)) for n1, n2 in all_pairs(s.m)
+        s = all_decodable(s)
+        b = region_bounds(s)
+        assert b.high_max == b.low_max == s.m
+        assert success_probability(s, prof) == pytest.approx(
+            prof.tau1 + prof.tau2, rel=0, abs=1e-12
         )
-        assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_probability_modes(self):
-        s = Scenario(m=5, v1=4.0, v2=1.5, gamma=1.5)
-        assert joint_pmf(s, PowerProfile(0.0, 0.5), CountPair(1, 0)) == 0.0
-        # idle probability zero: only pairs with n1+n2 = m are possible
-        assert joint_pmf(s, PowerProfile(0.5, 0.5), CountPair(2, 3)) > 0.0
-        assert joint_pmf(s, PowerProfile(0.5, 0.5), CountPair(1, 1)) == 0.0
+        s = all_decodable(Scenario(m=5, v1=4.0, v2=1.5, gamma=1.5))
+        assert success_probability(s, PowerProfile(0.0, 0.5)) == pytest.approx(
+            0.5, rel=0, abs=1e-12
+        )
+        # idle probability zero: only pairs with n1 + n2 = m carry mass
+        assert success_probability(s, PowerProfile(0.5, 0.5)) == pytest.approx(
+            1.0, rel=0, abs=1e-12
+        )
 
 
 class TestSuccessProbability:

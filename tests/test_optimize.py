@@ -65,6 +65,13 @@ class TestAscentConfig:
         with pytest.raises(ValueError):
             AscentConfig(refine_rounds=-1)
 
+    def test_refinement_width_must_stay_positive(self):
+        # 1e-3 divided by 10 321 times is 0.0, and the scans divide by it
+        AscentConfig(refine_rounds=320)
+        for rounds in (321, 330, 10**12):
+            with pytest.raises(ValueError, match="refinement width"):
+                AscentConfig(refine_rounds=rounds)
+
 
 class TestInnerMaximizations:
     def test_tau2_single_user_monotone(self):
@@ -397,6 +404,24 @@ class TestCoordinateAscent:
         res = coordinate_ascent(Scenario(100_000, 4.0, 1.5, 1.3), AscentConfig(grid_step=1e-6))
         assert res.converged
         assert res.th_star >= 0.98170
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            1_000,
+            pytest.param(10_000, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 1")),
+            pytest.param(100_000, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 1")),
+        ],
+    )
+    def test_default_ascent_reaches_dense_grid_maximum(self, m):
+        # the optimum sits near tau = 1/m; the default ascent's finest
+        # resolution is a fixed 1e-5, so it falls short at large m
+        s = Scenario(m, 4.0, 1.5, 1.3)
+        cfg = AscentConfig()
+        res = coordinate_ascent(s, cfg)
+        taus = np.arange(801) * (10.0 / m / 800)
+        dense = max(float(model._line(s, 1, tau1)(taus).max()) for tau1 in taus.tolist())
+        assert res.th_star >= dense - cfg.epsilon
 
     def test_empty_region_stops_after_first_sweep(self):
         res = coordinate_ascent(EMPTY)

@@ -23,12 +23,17 @@ from noma_aloha.model import (
     average_throughput,
     cond_sum_rate_high,
     cond_sum_rate_low,
-    decode_feasibility,
-    joint_pmf,
+    region_bounds,
     success_probability,
 )
 from noma_aloha.simulate import SimConfig, SimStats, run_simulation, sic_decode
-from support import all_pairs, boundary_scenarios, random_profile, random_scenario
+from support import (
+    all_pairs,
+    boundary_scenarios,
+    random_profile,
+    random_scenario,
+    trinomial_pmf,
+)
 
 DEFAULTS = Scenario(m=10, v1=4.0, v2=1.5, gamma=1.5)
 WIDE = Scenario(m=10, v1=4.0, v2=1.5, gamma=0.3)
@@ -183,15 +188,15 @@ class TestSicDecode:
 
     def test_sum_rate_matches_conditional_rates(self):
         for s in (DEFAULTS, Scenario(m=10, v1=4.0, v2=1.5, gamma=0.3)):
+            b = region_bounds(s)
             for n1, n2 in all_pairs(s.m):
                 out = sic_decode(s, n1, n2)
-                flags = decode_feasibility(s, CountPair(n1, n2))
-                assert out.high_decoded == flags.high_ok
-                assert out.low_decoded == flags.low_ok
+                assert out.high_decoded == b.in_high_region(n1, n2)
+                assert out.low_decoded == b.in_low_region(n1, n2)
                 expected = 0.0
-                if flags.high_ok:
+                if out.high_decoded:
                     expected += cond_sum_rate_high(s, CountPair(n1, n2))
-                if flags.low_ok:
+                if out.low_decoded:
                     expected += cond_sum_rate_low(s, CountPair(n1, n2))
                 assert out.sum_rate == pytest.approx(expected, rel=0, abs=1e-12)
 
@@ -389,7 +394,7 @@ class TestRunSimulation:
         stats = run_simulation(DEFAULTS, prof, cfg)
         n = stats.slots_run
         for n1, n2 in all_pairs(DEFAULTS.m):
-            p = joint_pmf(DEFAULTS, prof, CountPair(n1, n2))
+            p = trinomial_pmf(DEFAULTS.m, n1, n2, prof.tau1, prof.tau2)
             if n * p < 10.0:
                 continue
             freq = stats.pair_counts[n1, n2] / n
