@@ -9,8 +9,6 @@ from .model import (
     average_throughput,
     baseline_optimum,
     baseline_success,
-    cond_sum_rate_high,
-    cond_sum_rate_low,
     region_bounds,
     sinr_high,
     sinr_low,
@@ -40,8 +38,6 @@ __all__ = [
     "sinr_low",
     "region_bounds",
     "success_probability",
-    "cond_sum_rate_high",
-    "cond_sum_rate_low",
     "average_throughput",
     "baseline_success",
     "baseline_optimum",

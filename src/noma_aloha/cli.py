@@ -144,8 +144,16 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
         raise ConfigError("format must be 'csv' or 'json'")
     if cfg.output:
         _check_writable(cfg.output, "output")
-    if getattr(args, "trace_file", None) is not None:
-        _check_writable(args.trace_file, "trace file")
+    trace = getattr(args, "trace_file", None)
+    if trace is not None:
+        _check_writable(trace, "trace file")
+        # the summary row written last would truncate the trace
+        if cfg.output and (
+            os.path.samefile(cfg.output, trace)
+            if os.path.exists(cfg.output) and os.path.exists(trace)
+            else os.path.realpath(cfg.output) == os.path.realpath(trace)
+        ):
+            raise ConfigError(f"cannot write trace file {trace!r}: it is the output file")
     return cfg
 
 

@@ -34,8 +34,6 @@ __all__ = [
     "sinr_low",
     "region_bounds",
     "success_probability",
-    "cond_sum_rate_high",
-    "cond_sum_rate_low",
     "average_throughput",
     "baseline_success",
     "baseline_optimum",
@@ -80,11 +78,6 @@ class PowerProfile:
             raise ValueError("tau1 and tau2 must be nonnegative")
         if not self.tau1 + self.tau2 <= 1.0:
             raise ValueError("tau1 + tau2 must not exceed 1")
-
-    @property
-    def idle(self) -> float:
-        # clamp: 1 - tau1 - tau2 can round one ulp below zero on the simplex edge
-        return max(0.0, 1.0 - self.tau1 - self.tau2)
 
 
 @dataclass(frozen=True)
@@ -189,16 +182,6 @@ def region_bounds(s: Scenario) -> RegionBounds:
     return RegionBounds(high_max, low_given_high, low_max, high_given_low)
 
 
-def _log_trinomial_coef(m: int, n1: int, n2: int) -> float:
-    # C(m, n1+n2) * C(n1+n2, n1) = m! / (n1! n2! (m-n1-n2)!)
-    return (
-        math.lgamma(m + 1)
-        - math.lgamma(n1 + 1)
-        - math.lgamma(n2 + 1)
-        - math.lgamma(m - n1 - n2 + 1)
-    )
-
-
 # Profiles are evaluated in blocks of about this many profile x term
 # elements, so a batch of any size holds a few blocks of temporaries at once.
 _BLOCK_ELEMENTS = 1 << 14
@@ -213,31 +196,45 @@ _LOG_ZERO = -1e200
 def _terms(s: Scenario):
     """The per-scenario summation table over the m users.
 
-    One column per (decodable count pair, layer): the high region first, then
-    the low region, each in ascending scan order.  Returns the (3, T) counts
-    n1, n2 and m - n1 - n2 as floats, the log trinomial coefficients, the
-    conditional layer rates and the users each layer decodes (n1 on high
-    columns, n2 on low columns).
+    One column per (decodable count pair, layer): the high region in (n1, n2)
+    scan order, then the low region in (n2, n1) scan order.  Returns the
+    (3, T) counts n1, n2 and m - n1 - n2 as floats, the log trinomial
+    coefficients log(m! / (n1! n2! (m - n1 - n2)!)), the conditional layer
+    rates and the users each layer decodes (n1 on high columns, n2 on low
+    columns).
+
+    A layer's rate adds one log2(1 + SINR) term per decoded signal, left to
+    right from 0.0 (builtin sum() compensates from Python 3.12 on, which
+    would move the last bits with the interpreter).  The high layer at
+    (n1, n2) earns one term per user with i - 1 residual high interferers,
+    i = 1..n1, plus all n2 low signals, so its rate is the rate at
+    (n1 - 1, n2) plus one term: a running sum per n2 column.
+    ``low_max_given_high`` never rises with n1, so each row's columns were
+    summed by every row before it.  The low rate does not depend on n1, so
+    one prefix over n2 serves every row.
     """
     b = region_bounds(s)
-    rows = [
-        (n1, n2, cond_sum_rate_high(s, CountPair(n1, n2)), n1)
-        for n1 in range(1, b.high_max + 1)
-        for n2 in range(b.low_max_given_high[n1 - 1] + 1)
-    ]
-    rows += [
-        (n1, n2, cond_sum_rate_low(s, CountPair(n1, n2)), n2)
-        for n2 in range(1, b.low_max + 1)
-        for n1 in range(b.high_max_given_low[n2 - 1] + 1)
-    ]
-    counts = np.array(
-        [[r[0] for r in rows], [r[1] for r in rows], [s.m - r[0] - r[1] for r in rows]],
-        dtype=float,
-    )
-    log_coef = np.array([_log_trinomial_coef(s.m, r[0], r[1]) for r in rows])
-    rate = np.array([r[2] for r in rows])
-    decoded_users = np.array([r[3] for r in rows], dtype=float)
-    return counts, log_coef, rate, decoded_users
+    pairs, rate = [], []
+    running = [0.0] * (b.low_max_given_high[0] + 1 if b.high_max else 0)
+    for n1 in range(1, b.high_max + 1):
+        for n2 in range(b.low_max_given_high[n1 - 1] + 1):
+            running[n2] += math.log2(1.0 + s.v1 / ((n1 - 1) * s.v1 + n2 * s.v2 + 1.0))
+            pairs.append((n1, n2))
+            rate.append(running[n2])
+    high_terms = len(pairs)
+    low = 0.0
+    for n2 in range(1, b.low_max + 1):
+        low += math.log2(1.0 + s.v2 / ((n2 - 1) * s.v2 + 1.0))
+        width = b.high_max_given_low[n2 - 1] + 1
+        pairs += [(n1, n2) for n1 in range(width)]
+        rate += [low] * width
+    n1, n2 = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    idle = s.m - n1 - n2
+    lg = np.array([math.lgamma(k + 1) for k in range(s.m + 1)])
+    log_coef = ((lg[s.m] - lg[n1]) - lg[n2]) - lg[idle]
+    counts = np.array([n1, n2, idle], dtype=float)
+    decoded_users = np.concatenate((n1[:high_terms], n2[high_terms:])).astype(float)
+    return counts, log_coef, np.array(rate), decoded_users
 
 
 def _log(x) -> float:
@@ -320,48 +317,6 @@ def success_probability(s: Scenario, prof: PowerProfile) -> float:
     per slot divided by m, summed over the same table as the throughput.
     """
     return _at(s, prof, _USERS) / s.m
-
-
-def _left_sum(terms) -> float:
-    """Plain left-to-right float sum.  Builtin sum() adds floats this way up
-    to Python 3.11 but compensates from 3.12 on, which moves the last bits of
-    the layer rates, and with them every throughput, with the interpreter."""
-    total = 0.0
-    for x in terms:
-        total += x
-    return total
-
-
-def cond_sum_rate_high(s: Scenario, pair: CountPair) -> float:
-    """Sum rate of the high-power layer given it decodes at counts (n1, n2).
-
-    The i-th decoded signal faces the n1-i not-yet-cancelled peers plus all
-    low-power signals; summing over the decode order gives one log term per
-    user with i-1 residual high interferers.
-    """
-    b = region_bounds(s)
-    if not b.in_high_region(pair.n1, pair.n2):
-        raise ValueError(
-            f"counts ({pair.n1}, {pair.n2}) outside the high-layer decodable region"
-        )
-    n2v2 = pair.n2 * s.v2
-    return _left_sum(
-        math.log2(1.0 + s.v1 / ((i - 1) * s.v1 + n2v2 + 1.0))
-        for i in range(1, pair.n1 + 1)
-    )
-
-
-def cond_sum_rate_low(s: Scenario, pair: CountPair) -> float:
-    """Sum rate of the low-power layer given it decodes at counts (n1, n2)."""
-    b = region_bounds(s)
-    if not b.in_low_region(pair.n1, pair.n2):
-        raise ValueError(
-            f"counts ({pair.n1}, {pair.n2}) outside the low-layer decodable region"
-        )
-    return _left_sum(
-        math.log2(1.0 + s.v2 / ((j - 1) * s.v2 + 1.0))
-        for j in range(1, pair.n2 + 1)
-    )
 
 
 def average_throughput(s: Scenario, prof: PowerProfile) -> float:

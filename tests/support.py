@@ -73,13 +73,28 @@ def brute_force_throughput(s, prof):
     )
 
 
+def table_rates(s):
+    """The model's conditional layer rates, keyed by (n1, n2, layer) with
+    layer "high" or "low", read from the rate column of its summation table
+    (the high region's columns come first)."""
+    counts, _, rate, _ = model._terms(s)
+    b = model.region_bounds(s)
+    high = sum(cap + 1 for cap in b.low_max_given_high)
+    layers = ["high"] * high + ["low"] * (rate.size - high)
+    return {
+        (int(n1), int(n2), layer): r
+        for n1, n2, layer, r in zip(counts[0], counts[1], layers, rate.tolist())
+    }
+
+
 def reference_evaluate(s, prof):
     """Throughput and success probability of one profile by the scalar
     formula the batched kernel replaced: the profile's trinomial log masses
     over the cached table, with 0 * log(0) = 0, and one np.sum per total."""
     counts, log_coef, rate, decoded_users = model._terms(s)
     log_p = log_coef
-    for n, t in zip(counts, (prof.tau1, prof.tau2, prof.idle)):
+    idle = max(0.0, (1.0 - prof.tau1) - prof.tau2)
+    for n, t in zip(counts, (prof.tau1, prof.tau2, idle)):
         log_p = log_p + (n * math.log(t) if t != 0.0 else np.where(n == 0, 0.0, -np.inf))
     pmf = np.exp(log_p)
     return float(np.sum(rate * pmf)), float(np.sum(decoded_users * pmf) / s.m)

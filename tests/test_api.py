@@ -21,8 +21,6 @@ PUBLIC = {
     "sinr_low",
     "region_bounds",
     "success_probability",
-    "cond_sum_rate_high",
-    "cond_sum_rate_low",
     "average_throughput",
     "baseline_success",
     "baseline_optimum",
@@ -38,7 +36,7 @@ PUBLIC = {
 
 
 def test_package_exports_exactly_the_public_names():
-    assert len(noma_aloha.__all__) == len(PUBLIC) == 21
+    assert len(noma_aloha.__all__) == len(PUBLIC) == 19
     assert set(noma_aloha.__all__) == PUBLIC
 
 

@@ -588,6 +588,20 @@ class TestUnwritablePaths:
         err = self.run_rejected(self.COMMANDS[3] + ["--trace-file", str(tmp_path)], capsys, work)
         assert "not a file" in err
 
+    @pytest.mark.parametrize("exists", [False, True])
+    def test_trace_file_is_the_output_file(self, exists, tmp_path, capsys, work):
+        # the summary row would truncate the trace; an existing file keeps its bytes
+        path = tmp_path / "run.csv"
+        if exists:
+            path.write_bytes(b"kept\n")
+        alias = tmp_path / "." / "run.csv"
+        args = self.COMMANDS[3] + ["--output", str(path), "--trace-file", str(alias)]
+        err = self.run_rejected(args, capsys, work)
+        assert "it is the output file" in err
+        assert list(tmp_path.iterdir()) == ([path] if exists else [])
+        if exists:
+            assert path.read_bytes() == b"kept\n"
+
 
 class TestConfigFile:
     def test_precedence_flags_over_file_over_defaults(self, tmp_path, capsys):

@@ -20,8 +20,6 @@ from noma_aloha.model import (
     average_throughput,
     baseline_optimum,
     baseline_success,
-    cond_sum_rate_high,
-    cond_sum_rate_low,
     region_bounds,
     sinr_high,
     sinr_low,
@@ -38,6 +36,7 @@ from support import (
     near_threshold,
     random_scenario,
     reference_evaluate,
+    table_rates,
 )
 
 DEFAULTS = Scenario(m=10, v1=4.0, v2=1.5, gamma=1.5)
@@ -84,9 +83,8 @@ class TestTypes:
                 PowerProfile(tau1, tau2)
 
     def test_profile_accepts_simplex_boundary(self):
-        assert PowerProfile(0.0, 0.0).idle == 1.0
-        assert PowerProfile(1.0, 0.0).idle == 0.0
-        assert PowerProfile(0.3, 0.7).idle == pytest.approx(0.0, abs=1e-15)
+        for tau1, tau2 in ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.3, 0.7)):
+            PowerProfile(tau1, tau2)
 
     def test_count_pair_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -293,66 +291,62 @@ class TestSuccessProbability:
 
 class TestConditionalRates:
     def test_high_examples(self):
-        assert cond_sum_rate_high(DEFAULTS, CountPair(1, 0)) == pytest.approx(
-            math.log2(5.0), rel=1e-12
-        )
-        assert cond_sum_rate_high(DEFAULTS, CountPair(1, 1)) == pytest.approx(
-            math.log2(2.6), rel=1e-12
-        )
+        rates = table_rates(DEFAULTS)
+        assert rates[1, 0, "high"] == pytest.approx(math.log2(5.0), rel=1e-12)
+        assert rates[1, 1, "high"] == pytest.approx(math.log2(2.6), rel=1e-12)
         s = Scenario(m=10, v1=4.0, v2=1.5, gamma=0.3)
-        assert cond_sum_rate_high(s, CountPair(2, 0)) == pytest.approx(
+        assert table_rates(s)[2, 0, "high"] == pytest.approx(
             math.log2(1.8) + math.log2(5.0), rel=1e-12
         )
 
     def test_low_examples(self):
-        assert cond_sum_rate_low(DEFAULTS, CountPair(0, 1)) == pytest.approx(
-            math.log2(2.5), rel=1e-12
-        )
+        rates = table_rates(DEFAULTS)
+        assert rates[0, 1, "low"] == pytest.approx(math.log2(2.5), rel=1e-12)
+        assert rates[1, 1, "low"] == pytest.approx(math.log2(2.5), rel=1e-12)
         s = Scenario(m=10, v1=4.0, v2=1.5, gamma=0.3)
-        assert cond_sum_rate_low(s, CountPair(0, 2)) == pytest.approx(2.0, rel=1e-12)
-        assert cond_sum_rate_low(DEFAULTS, CountPair(1, 1)) == pytest.approx(
-            math.log2(2.5), rel=1e-12
-        )
-
-    def test_outside_region_rejected(self):
-        with pytest.raises(ValueError):
-            cond_sum_rate_high(DEFAULTS, CountPair(2, 0))
-        with pytest.raises(ValueError):
-            cond_sum_rate_high(DEFAULTS, CountPair(0, 1))
-        with pytest.raises(ValueError):
-            cond_sum_rate_low(DEFAULTS, CountPair(0, 2))
-        with pytest.raises(ValueError):
-            cond_sum_rate_low(DEFAULTS, CountPair(1, 0))
+        assert table_rates(s)[0, 2, "low"] == pytest.approx(2.0, rel=1e-12)
 
 
 class TestLeftSum:
-    def test_adds_left_to_right(self):
-        # a compensated sum (math.fsum, or builtin sum from Python 3.12) gives 1.0
-        assert model._left_sum([1e16, 1.0, -1e16]) == 0.0
-        assert model._left_sum(iter([])) == 0.0
-        rng = np.random.default_rng(3)
-        for n in (1, 2, 7, 100):
-            xs = (rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)).tolist()
-            total = 0.0
-            for x in xs:
-                total += x
-            assert model._left_sum(xs).hex() == total.hex()
-
-    @pytest.mark.parametrize("s", [DEFAULTS, Scenario(50, 20.0, 2.0, 0.173), Scenario(50, 20.0, 2.0, 0.3)])
+    @pytest.mark.parametrize(
+        "s",
+        [
+            DEFAULTS,
+            Scenario(50, 20.0, 2.0, 0.173),
+            Scenario(50, 20.0, 2.0, 0.3),
+            all_decodable(Scenario(60, 4.0, 1.5, 1.0)),
+        ],
+    )
     def test_layer_rates_are_left_to_right_sums(self, s):
+        # the table's rate column, bit for bit, against a scalar loop per pair
         b = region_bounds(s)
+        expected = {}
         for n1 in range(1, b.high_max + 1):
             for n2 in range(b.low_max_given_high[n1 - 1] + 1):
                 total = 0.0
                 for i in range(1, n1 + 1):
                     total += math.log2(1.0 + s.v1 / ((i - 1) * s.v1 + n2 * s.v2 + 1.0))
-                assert cond_sum_rate_high(s, CountPair(n1, n2)) == total
+                expected[n1, n2, "high"] = total
         for n2 in range(1, b.low_max + 1):
             for n1 in range(b.high_max_given_low[n2 - 1] + 1):
                 total = 0.0
                 for j in range(1, n2 + 1):
                     total += math.log2(1.0 + s.v2 / ((j - 1) * s.v2 + 1.0))
-                assert cond_sum_rate_low(s, CountPair(n1, n2)) == total
+                expected[n1, n2, "low"] = total
+        rates = table_rates(s)
+        assert len(rates) == model._terms(s)[2].size
+        assert {k: v.hex() for k, v in rates.items()} == {k: v.hex() for k, v in expected.items()}
+
+    def test_table_build_is_linear_in_its_size(self):
+        # one log2 term per high column and one per low count, not one per
+        # decoded signal of every pair (75 640 here)
+        s = all_decodable(Scenario(60, 4.0, 1.5, 1.0))
+        b = region_bounds(s)
+        high_columns = sum(cap + 1 for cap in b.low_max_given_high)
+        assert (high_columns, b.low_max) == (1830, 60)
+        with mock.patch.object(math, "log2", wraps=math.log2) as log2:
+            model._terms.__wrapped__(s)
+        assert log2.call_count <= high_columns + b.low_max
 
 
 class TestAverageThroughput:

@@ -17,12 +17,9 @@ from hypothesis import given, settings
 
 from noma_aloha import simulate
 from noma_aloha.model import (
-    CountPair,
     PowerProfile,
     Scenario,
     average_throughput,
-    cond_sum_rate_high,
-    cond_sum_rate_low,
     region_bounds,
     success_probability,
 )
@@ -32,6 +29,7 @@ from support import (
     boundary_scenarios,
     random_profile,
     random_scenario,
+    table_rates,
     trinomial_pmf,
 )
 
@@ -176,9 +174,7 @@ class TestSicDecode:
         s = Scenario(m=10, v1=4.0, v2=1.5, gamma=0.3)
         out = sic_decode(s, 1, 4)
         assert out.high_decoded and not out.low_decoded
-        assert out.sum_rate == pytest.approx(
-            cond_sum_rate_high(s, CountPair(1, 4)), rel=1e-15
-        )
+        assert out.sum_rate == pytest.approx(table_rates(s)[1, 4, "high"], rel=1e-15)
 
     def test_counts_validated(self):
         with pytest.raises(ValueError):
@@ -187,17 +183,15 @@ class TestSicDecode:
             sic_decode(DEFAULTS, -1, 0)
 
     def test_sum_rate_matches_conditional_rates(self):
+        # the decoder against the rate column the model sums
         for s in (DEFAULTS, Scenario(m=10, v1=4.0, v2=1.5, gamma=0.3)):
             b = region_bounds(s)
+            rates = table_rates(s)
             for n1, n2 in all_pairs(s.m):
                 out = sic_decode(s, n1, n2)
                 assert out.high_decoded == b.in_high_region(n1, n2)
                 assert out.low_decoded == b.in_low_region(n1, n2)
-                expected = 0.0
-                if out.high_decoded:
-                    expected += cond_sum_rate_high(s, CountPair(n1, n2))
-                if out.low_decoded:
-                    expected += cond_sum_rate_low(s, CountPair(n1, n2))
+                expected = rates.get((n1, n2, "high"), 0.0) + rates.get((n1, n2, "low"), 0.0)
                 assert out.sum_rate == pytest.approx(expected, rel=0, abs=1e-12)
 
 
