@@ -486,7 +486,6 @@ def _add_ascent_args(p: argparse.ArgumentParser):
     )
     p.add_argument("--grid-step", type=float)
     p.add_argument("--refine-rounds", type=int)
-    p.add_argument("--initial-tau1", type=float)
     p.add_argument(
         "--single-start",
         action="store_false",

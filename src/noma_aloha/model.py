@@ -19,6 +19,7 @@ coordinate enters the kernel as one row computed once per line, and the
 kernel reduces only the weight column its caller reads.
 """
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -151,20 +152,20 @@ def _low_ok(s: Scenario, n1: int, n2: int) -> bool:
 
 
 def _count_up(ok, start: int, stop: int) -> int:
-    """Largest k in start..stop with ok(start), ..., ok(k), or start - 1."""
-    k = start
-    while k <= stop and ok(k):
-        k += 1
-    return k - 1
+    """Largest k in start..stop with ok(start), ..., ok(k), or start - 1.
+    ok must hold on a prefix of start..stop; the prefix's end is found by
+    bisection, in O(log(stop - start + 2)) calls of ok."""
+    return start - 1 + bisect.bisect_left(range(start, stop + 1), True, key=lambda k: not ok(k))
 
 
 @lru_cache(maxsize=8)
 def region_bounds(s: Scenario) -> RegionBounds:
     """Decodability bounds, used as summation limits.
 
-    Each cap counts up until the decodability predicate fails.  One more
-    transmitter of either power never raises a first-signal SINR (float
-    rounding is monotone), so every larger count fails too and
+    Each cap is the end of the prefix of counts on which the decodability
+    predicate holds.  One more transmitter of either power never raises a
+    first-signal SINR (float rounding is monotone), so the predicate holds
+    on a prefix of each count range, every larger count fails too, and
     ``in_high_region`` / ``in_low_region`` equal the predicate on every
     pair.  A gamma equal to an SINR value decodes.
     """

@@ -10,16 +10,16 @@ built once and evaluated on batches of sample points, reducing only the
 throughput.  A scan's samples are indexed by k; a sample's float is formed
 from k, and only for the samples a scan evaluates or bounds.
 
-The coarse scans of the ascent are pruned.  Each term of the mixture is
-log-concave along the scanned axis, so its largest value on a run of samples
-sits at its stationary point clipped to the run, and the sum of those values,
-raised by a slack for rounding, bounds the kernel's throughput on the run.
-The run with the largest bound is evaluated first, then only the runs whose
-bound is not below the best value found.  A skipped sample lies strictly
-below that value and the kernel gives a point the same bits in any batch, so
-the argmax, its ties and every output bit are those of the full scan.  The
-bounds' constants are computed once per scenario and once per line.  The
-refinement scans and the oracle stay exhaustive.
+Every scan is pruned.  Each term of the mixture is log-concave along the
+scanned axis, so its largest value on a run of samples sits at its
+stationary point clipped to the run, and the sum of those values, raised by
+a slack for rounding, bounds the kernel's throughput on the run.  A scan
+bounds its runs a piece at a time, evaluates the piece's run with the
+largest bound first, then only the runs whose bound is not below the best
+value found.  A skipped sample lies strictly below that value and the kernel
+gives a point the same bits in any batch, so the argmax, its ties and every
+output bit are those of the full scan.  The bounds' constants are computed
+once per scenario and once per line.
 """
 
 import math
@@ -41,6 +41,10 @@ __all__ = [
 ]
 
 
+# The finest coarse step, 1e8 samples a scan: about 5 s of ascent at the defaults.
+_MIN_GRID_STEP = 1e-8
+
+
 @dataclass(frozen=True)
 class AscentConfig:
     """Knobs for the alternating maximisation.
@@ -49,7 +53,6 @@ class AscentConfig:
     max_outer_iterations: cap on full tau2+tau1 update rounds.
     grid_step: coarse step of each inner 1-D scan.
     refine_rounds: bracket refinements around the incumbent, 10x finer each.
-    initial_tau1: starting point of the reference sweep.
     dual_start: also run the sweep with the coordinate order mirrored
         (tau1 maximised first from tau2 = 0) and keep the better endpoint; a
         single fixed order can stall on the simplex boundary when its first
@@ -60,7 +63,6 @@ class AscentConfig:
     max_outer_iterations: int = 100
     grid_step: float = 1e-3
     refine_rounds: int = 2
-    initial_tau1: float = 0.0
     dual_start: bool = True
 
     def __post_init__(self):
@@ -68,6 +70,8 @@ class AscentConfig:
             raise ValueError("epsilon must be positive")
         if not 0.0 < self.grid_step < 1.0:
             raise ValueError("grid_step must lie in (0, 1)")
+        if self.grid_step < _MIN_GRID_STEP:
+            raise ValueError(f"grid_step below {_MIN_GRID_STEP:g} makes a scan too large to run")
         if self.max_outer_iterations < 1:
             raise ValueError("max_outer_iterations must be at least 1")
         if self.refine_rounds < 0:
@@ -78,8 +82,6 @@ class AscentConfig:
             width /= 10.0
             if width == 0.0:
                 raise ValueError("refine_rounds takes the refinement width to 0")
-        if not 0.0 <= self.initial_tau1 <= 1.0:
-            raise ValueError("initial_tau1 must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -99,8 +101,8 @@ class OptimizationResult:
     trace: tuple[tuple[int, float, float, float], ...]
 
 
-# Sample points are formed and evaluated at most this many at a time, so the
-# scans and the oracle hold bounded memory at any step.
+# Sample points are bounded, formed and evaluated at most this many at a
+# time, so every scan holds bounded memory at any step.
 _SCAN_PIECE = 1 << 16
 
 
@@ -137,13 +139,7 @@ def _grid(lo, hi, step):
     return n + 1, points
 
 
-def _pieces(total):
-    """The sample indices 0..total-1 in pieces of at most _SCAN_PIECE."""
-    for a in range(0, total, _SCAN_PIECE):
-        yield np.arange(a, min(a + _SCAN_PIECE, total))
-
-
-def _best(f, points, pieces, best=(-1, math.nan, -math.inf)):
+def _best(f, points, pieces, best):
     """(k, x, f(x)) of the first maximum of f over the samples of
     ``pieces``, ascending index arrays, from ``best`` on: a larger value
     wins, and an equal one only at a smaller index, as np.argmax's first
@@ -158,19 +154,8 @@ def _best(f, points, pieces, best=(-1, math.nan, -math.inf)):
     return best_k, best_x, best_f
 
 
-def _scan(f, lo, hi, step):
-    """Maximise f on [lo, hi] sampled at lo + k*step plus the hi endpoint.
-
-    f maps an array of arguments to an array of values.  Ties keep the first
-    (smallest) argument, as np.argmax does, so results are deterministic.
-    """
-    total, points = _grid(lo, hi, step)
-    _, x, fx = _best(f, points, _pieces(total))
-    return float(x), float(fx)
-
-
-# Coarse-scan samples are bounded, and evaluated or skipped, in runs of this
-# many consecutive points.
+# Scan samples are bounded, and evaluated or skipped, in runs of this many
+# consecutive points.
 _INTERVAL = 32
 
 # The bound's exponent is raised by _REL_SLACK times the size of the logs it
@@ -186,7 +171,7 @@ def _log0(t):
 
 
 def _table_bounds(s: Scenario):
-    """The parts of the coarse-scan bounds that depend only on the
+    """The parts of the scan bounds that depend only on the
     scenario's table: its counts, log coefficients and rates, the counts
     scaled by 1 - _REL_SLACK, max(a + c, 1) for each axis and the additive
     slack ``_REL_SLACK (4|L| + 2m) + _ABS_SLACK`` (see _line_bounds)."""
@@ -246,51 +231,53 @@ def _line_bounds(table, axis: int, fixed: float):
     return bounds
 
 
-def _run_samples(runs, total):
-    """The indices of the samples in the given ascending runs of _INTERVAL,
-    the last run of the scan possibly shorter, in pieces of at most
-    _SCAN_PIECE."""
-    per = max(1, _SCAN_PIECE // _INTERVAL)
-    for a in range(0, runs.size, per):
-        k = (runs[a : a + per, None] * _INTERVAL + np.arange(_INTERVAL)).ravel()
-        k = k[k < total]
-        for b in range(0, k.size, _SCAN_PIECE):
-            yield k[b : b + _SCAN_PIECE]
+def _run_samples(first, total):
+    """The indices of the samples in the runs of _INTERVAL that start at the
+    ascending ``first``, the last run of the scan possibly shorter, in pieces
+    of at most _SCAN_PIECE."""
+    k = (first[:, None] + np.arange(_INTERVAL)).ravel()
+    k = k[k < total]
+    for b in range(0, k.size, _SCAN_PIECE):
+        yield k[b : b + _SCAN_PIECE]
 
 
-def _pruned_scan(f, bounds, hi, step):
-    """``_scan(f, 0, hi, step)``, with f evaluated only on the
-    runs of samples whose bound does not rule them out.
+def _scan(f, bounds, total, points):
+    """(x, f(x)) of the first maximum of f over ``total`` samples, where
+    ``points`` maps an ascending array of indices to the samples' floats, as
+    ``_grid`` returns them.
 
-    ``bounds(lo, hi)`` bounds f from above on each run of _INTERVAL
-    consecutive samples, given the arrays of the runs' first and last
-    points.  The run with the largest bound is evaluated first; then, in one
-    call of f per piece, every other run whose bound is not below the best
-    value found so far.  A skipped point lies strictly below that value,
-    and f's value at a point does not depend on the batch it is evaluated
-    in, so the argmax, its first-index tie rule and every bit of the result
-    are those of the full scan.  Only the points of the runs' ends and of
-    the evaluated runs are formed, so memory stays bounded at any step.
+    f maps an array of points to an array of values; ``bounds(lo, hi)``
+    bounds f from above on each run of _INTERVAL samples, given the arrays
+    of the runs' first and last points.  The runs are bounded a piece of
+    _SCAN_PIECE samples at a time.  In each piece, the run with the largest
+    bound is evaluated first, then every other run, each only if its bound
+    is not below the best value found so far; a piece of one run is
+    evaluated without a bound.  Ties keep the first (smallest) sample, as
+    np.argmax does.
     """
-    total, points = _grid(0.0, hi, step)
-    first = np.arange(0, total, _INTERVAL)
-    b = bounds(points(first), points(np.minimum(first + (_INTERVAL - 1), total - 1)))
-    j = int(np.argmax(b))
-    best = _best(f, points, _run_samples(np.array([j]), total))
-    keep = ~(b < best[2])
-    keep[j] = False
-    _, x, fx = _best(f, points, _run_samples(np.flatnonzero(keep), total), best)
-    return float(x), float(fx)
+    best = (-1, math.nan, -math.inf)
+    per = max(1, _SCAN_PIECE // _INTERVAL) * _INTERVAL
+    for a in range(0, total, per):
+        first = np.arange(a, min(a + per, total), _INTERVAL)
+        if first.size > 1:
+            b = bounds(points(first), points(np.minimum(first + (_INTERVAL - 1), total - 1)))
+            j = int(np.argmax(b))
+            if not b[j] < best[2]:
+                best = _best(f, points, _run_samples(first[j : j + 1], total), best)
+            b[j] = -math.inf  # evaluated or ruled out
+            first = first[~(b < best[2])]
+        best = _best(f, points, _run_samples(first, total), best)
+    return float(best[1]), float(best[2])
 
 
 def _maximize_1d(f, bounds, hi, cfg: AscentConfig):
-    x, fx = _pruned_scan(f, bounds, hi, cfg.grid_step)
+    x, fx = _scan(f, bounds, *_grid(0.0, hi, cfg.grid_step))
     width = cfg.grid_step
     for _ in range(cfg.refine_rounds):
         lo_r = max(0.0, x - width)
         hi_r = min(hi, x + width)
         width /= 10.0
-        x2, f2 = _scan(f, lo_r, hi_r, width)
+        x2, f2 = _scan(f, bounds, *_grid(lo_r, hi_r, width))
         if f2 > fx:
             x, fx = x2, f2
     return x, fx
@@ -310,12 +297,12 @@ def _maximize_over(s: Scenario, table, axis: int, fixed: float, cfg: AscentConfi
 def _alternating_sweep(s: Scenario, table, cfg: AscentConfig, low_first: bool) -> OptimizationResult:
     """One alternating maximisation run.
 
-    ``low_first`` maximises tau2 first from tau1 = cfg.initial_tau1 (the
-    reference order); otherwise tau1 is maximised first from tau2 = 0.  An
-    update is accepted only when it improves the incumbent throughput by more
-    than epsilon; the first rejected update stops the run (converged).
+    From (0, 0), ``low_first`` maximises tau2 first (the reference order);
+    otherwise tau1 is maximised first.  An update is accepted only when it
+    improves the incumbent throughput by more than epsilon; the first
+    rejected update stops the run (converged).
     """
-    tau = [cfg.initial_tau1 if low_first else 0.0, 0.0]
+    tau = [0.0, 0.0]
     best = 0.0
     trace = [(0, *tau, best)]
     converged = False
@@ -338,10 +325,9 @@ def _alternating_sweep(s: Scenario, table, cfg: AscentConfig, low_first: bool) -
 def coordinate_ascent(s: Scenario, cfg: AscentConfig | None = None) -> OptimizationResult:
     """Alternating 1-D throughput maximisation over (tau1, tau2).
 
-    Runs the reference sweep (tau2 first, tau1 starting at
-    ``cfg.initial_tau1``) and, when ``cfg.dual_start`` is set, the mirrored
-    sweep as well, returning the endpoint with the higher throughput (the
-    reference sweep wins ties).
+    Runs the reference sweep (tau2 first) and, when ``cfg.dual_start`` is
+    set, the mirrored sweep as well, both from (0, 0), returning the endpoint
+    with the higher throughput (the reference sweep wins ties).
     """
     cfg = cfg or AscentConfig()
     table = _table_bounds(s)
@@ -353,30 +339,37 @@ def coordinate_ascent(s: Scenario, cfg: AscentConfig | None = None) -> Optimizat
     return result
 
 
+# The finest oracle step, about 5e7 profiles: a few seconds of oracle.
+_MIN_ORACLE_STEP = 1e-4
+
+
 def _check_oracle_step(step: float):
     """The grid oracle's validation of ``step``, on its own so that a caller
     can reject a bad step before any work starts."""
     if not 0.0 < step <= 0.1:
         raise ValueError("oracle step must lie in (0, 0.1]")
+    if step < _MIN_ORACLE_STEP:
+        raise ValueError(f"oracle step below {_MIN_ORACLE_STEP:g} makes the grid too large to run")
 
 
 def grid_search_oracle(s: Scenario, step: float) -> OptimizationResult:
-    """Exhaustive throughput maximisation on the (tau1, tau2) simplex grid.
+    """Exact throughput maximisation on the (tau1, tau2) simplex grid.
 
-    Evaluates every (i*step, j*step) with sum at most 1, in batches along
-    each tau1 row, and returns the argmax; ties resolve to the lexicographically
-    smallest point.
+    Maximises over every (i*step, j*step) with sum at most 1, one scan along
+    each tau1 row, and returns the argmax; ties resolve to the
+    lexicographically smallest point.
     """
     _check_oracle_step(step)
+    table = _table_bounds(s)
     best_th = -1.0
     best = (0.0, 0.0)
     i = 0
     while (tau1 := i * step) <= 1.0:
-        row = _line(s, 1, tau1)
         total = _prefix(0.0, step, lambda x: tau1 + x <= 1.0, 1.0 - tau1)
-        _, tau2, th = _best(row, lambda k: k * step, _pieces(total))
+        bounds = _line_bounds(table, 1, tau1)
+        tau2, th = _scan(_line(s, 1, tau1), bounds, total, lambda k: k * step)
         if th > best_th:
-            best_th, best = float(th), (tau1, float(tau2))
+            best_th, best = th, (tau1, tau2)
         i += 1
     tau1, tau2 = best
     return OptimizationResult(

@@ -217,6 +217,34 @@ class TestOptimize:
         assert code == 0
         assert parse_csv(out)[0]["converged"] == "true"
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["optimize", "--grid-step", "1e-300"],
+            ["optimize", "--grid-step", "9e-9"],
+            ["optimize", "--oracle", "--oracle-step", "1e-9"],
+            ["optimize", "--oracle", "--oracle-step", "9.9e-5"],
+            ["sweep", "--axis", "m", "--start", "2", "--stop", "4", "--step", "1",
+             "--optimize", "--grid-step", "1e-300"],
+        ],
+    )
+    def test_scan_too_large_to_run_exits_2_before_any_work(self, flags, capsys, monkeypatch):
+        def fail(*args):
+            raise AssertionError("work started before the step was checked")
+
+        monkeypatch.setattr(cli, "coordinate_ascent", fail)
+        monkeypatch.setattr(cli, "grid_search_oracle", fail)
+        code, out, err = run_cli(flags, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error: ") and err.endswith("too large to run\n")
+
+    def test_initial_tau1_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["optimize", "--initial-tau1", "0.1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --initial-tau1" in capsys.readouterr().err
+
     def test_baseline_respects_gamma(self, capsys):
         # gamma above v1 = 4: a lone transmitter does not decode either
         code, out, _ = run_cli(

@@ -160,6 +160,17 @@ class TestFeasibility:
         assume(not near_threshold(s))
         assert_region_matches_decoder(s)
 
+    def test_caps_are_bisected(self):
+        # each cap takes O(log m) predicate calls, not one per count; counting
+        # up pair by pair makes 360 600 calls here
+        s = Scenario(600, 4.0, 1.5, 1e-4)
+        b = region_bounds(s)
+        with mock.patch.object(model, "_high_ok", wraps=model._high_ok) as high_ok:
+            assert model.region_bounds.__wrapped__(s) == b
+        limit = (b.high_max + b.low_max + 2) * (math.ceil(math.log2(s.m + 2)) + 1)
+        assert limit == 13_222
+        assert high_ok.call_count <= limit, high_ok.call_count
+
     @given(scenarios())
     def test_bound_maps_nonincreasing(self, s):
         b = region_bounds(s)

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import fields
 from unittest import mock
 
 import numpy as np
@@ -38,6 +39,31 @@ def line_bounds(s, axis, fixed):
     return optimize._line_bounds(optimize._table_bounds(s), axis, fixed)
 
 
+def scan(f, bounds, lo, hi, step):
+    return optimize._scan(f, bounds, *optimize._grid(lo, hi, step))
+
+
+def exhaustive_scan(f, total, points):
+    """The first maximum of f over every sample, by np.argmax."""
+    xs = points(np.arange(total))
+    fx = f(xs)
+    i = int(np.argmax(fx))
+    return float(xs[i]), float(fx[i])
+
+
+def staircase(xs):
+    return np.floor(xs * 3.0)
+
+
+def staircase_bounds(lo, hi):
+    # the staircase never decreases, so its value at a run's end bounds it
+    return staircase(hi)
+
+
+def never_prune(lo, hi):
+    return np.full(lo.size, math.inf)
+
+
 def run_bounds(s, axis, fixed, xs, interval):
     """The line's bounds on each run of ``interval`` consecutive points of
     the nondecreasing ``xs``, the last run possibly shorter."""
@@ -71,6 +97,19 @@ class TestAscentConfig:
         for rounds in (321, 330, 10**12):
             with pytest.raises(ValueError, match="refinement width"):
                 AscentConfig(refine_rounds=rounds)
+
+    def test_grid_step_has_a_floor(self):
+        # a finer coarse step scans more than 1e8 samples a line
+        assert optimize._MIN_GRID_STEP == 1e-8
+        AscentConfig(grid_step=1e-8)
+        for step in (9.99e-9, 1e-300, 5e-324):
+            with pytest.raises(ValueError, match="too large to run"):
+                AscentConfig(grid_step=step)
+
+    def test_fields(self):
+        assert [f.name for f in fields(AscentConfig)] == [
+            "epsilon", "max_outer_iterations", "grid_step", "refine_rounds", "dual_start"
+        ]
 
 
 class TestInnerMaximizations:
@@ -130,7 +169,7 @@ class TestBatchedScan:
     @pytest.mark.parametrize("lo, hi, step", CASES)
     @pytest.mark.parametrize("s", [DEFAULTS, SINGLE, EMPTY, Scenario(50, 20.0, 2.0, 0.3)])
     def test_matches_reference_loop(self, s, lo, hi, step):
-        got = optimize._scan(model._line(s, 1, 0.0), lo, hi, step)
+        got = scan(model._line(s, 1, 0.0), line_bounds(s, 1, 0.0), lo, hi, step)
         want = reference_scan(
             lambda x: average_throughput(s, PowerProfile(0.0, x)), lo, hi, step
         )
@@ -139,11 +178,24 @@ class TestBatchedScan:
     @pytest.mark.parametrize("lo, hi, step", CASES)
     @pytest.mark.parametrize("piece", [1, 2, 4, 5])
     def test_ties_keep_first_sample_across_pieces(self, lo, hi, step, piece):
-        # a staircase with long runs of equal values; pieces of 4 end exactly
-        # on the last sample below hi in the (0, 0.5, 0.125) case
-        with mock.patch.object(optimize, "_SCAN_PIECE", piece):
-            got = optimize._scan(lambda xs: np.floor(xs * 3.0), lo, hi, step)
+        # a staircase with long runs of equal values, bounded in runs of 2;
+        # pieces of 4 end exactly on the last sample below hi in the
+        # (0, 0.5, 0.125) case
+        with mock.patch.object(optimize, "_SCAN_PIECE", piece), mock.patch.object(
+            optimize, "_INTERVAL", 2
+        ):
+            got = scan(staircase, staircase_bounds, lo, hi, step)
         assert got == reference_scan(lambda x: float(math.floor(x * 3.0)), lo, hi, step)
+
+    @pytest.mark.parametrize("lo, hi, step", CASES[1:])
+    def test_one_run_is_evaluated_without_a_bound(self, lo, hi, step):
+        # each of these scans, a refinement bracket among them, is one run
+        def bounds(lo, hi):
+            raise AssertionError("a scan of one run was bounded")
+
+        assert optimize._grid(lo, hi, step)[0] <= optimize._INTERVAL
+        f = model._line(DEFAULTS, 1, 0.0)
+        assert scan(f, bounds, lo, hi, step) == exhaustive_scan(f, *optimize._grid(lo, hi, step))
 
 
 class TestGridScan:
@@ -167,14 +219,15 @@ class TestGridScan:
     @pytest.mark.parametrize("s", [DEFAULTS, EMPTY, Scenario(50, 20.0, 2.0, 0.3)])
     def test_matches_reference_loop(self, s, axis, hi, step):
         fixed = 1.0 - hi
-        got = optimize._scan(self.kernel(s, axis, fixed), 0.0, hi, step)
+        got = scan(self.kernel(s, axis, fixed), line_bounds(s, axis, fixed), 0.0, hi, step)
         profile = (lambda x: PowerProfile(x, fixed)) if axis == 0 else (lambda x: PowerProfile(fixed, x))
         want = reference_scan(lambda x: average_throughput(s, profile(x)), 0.0, hi, step)
         assert got == want
 
     @pytest.mark.parametrize("piece", [1, 7, 64])
     def test_scan_longer_than_the_grid(self, piece):
-        # the kernel evaluates 991 samples in pieces of at most `piece`
+        # under bounds that rule nothing out, the kernel evaluates all 991
+        # samples, a run of 32 or a piece, whichever is smaller, at a time
         s = Scenario(50, 20.0, 2.0, 0.3)
         want = reference_scan(
             lambda x: average_throughput(s, PowerProfile(0.01, x)), 0.0, 0.99, 1e-3
@@ -186,9 +239,9 @@ class TestGridScan:
             return self.kernel(s, 1, 0.01)(xs)
 
         with mock.patch.object(optimize, "_SCAN_PIECE", piece):
-            got = optimize._scan(kernel, 0.0, 0.99, 1e-3)
+            got = scan(kernel, never_prune, 0.0, 0.99, 1e-3)
         assert got == want
-        assert sum(sizes) == 991 and max(sizes) == piece
+        assert sum(sizes) == 991 and max(sizes) == min(piece, optimize._INTERVAL)
 
     def test_memory_stays_bounded_on_a_fine_step(self):
         # 500 001 coarse points, scanned in pieces of at most _SCAN_PIECE
@@ -200,6 +253,18 @@ class TestGridScan:
             tracemalloc.stop()
         assert th > 0.0
         assert peak < 8 * 2**20, peak
+
+    def test_memory_stays_bounded_on_a_finer_step(self):
+        # 10 000 001 coarse samples, their runs bounded a piece at a time;
+        # bounding all 312 501 runs at once peaked at about 10.3 MiB
+        tracemalloc.start()
+        try:
+            tau2, th = maximize_over(DEFAULTS, 1, 0.0, AscentConfig(grid_step=1e-7))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert th > 0.0
+        assert peak < 2 * 2**20, peak
 
 
 @st.composite
@@ -223,24 +288,21 @@ FIXED = st.one_of(st.sampled_from([0.0, 1.0 - 1e-9, 1.0]), st.floats(0.0, 1e-3),
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestPrunedScan:
-    """The coarse scan skips runs of samples whose bound lies below the best
-    value found, and still returns every bit of the full scan."""
+    """A scan skips runs of samples whose bound lies below the best value
+    found, and still returns every bit of the exhaustive scan."""
 
     @staticmethod
-    def scans(s, axis, fixed, step, interval, piece):
-        """The full and the pruned coarse scan, and the kernel's values and
-        the bounds on every sample of the scan, all with the given run and
-        piece sizes."""
-        f = TestGridScan.kernel(s, axis, fixed)
+    def samples(kind, axis, fixed, step, where):
+        """The line and the samples of one scan of each caller: the ascent's
+        coarse scan of [0, 1 - fixed], a bracket [lo, 1 - fixed] with
+        lo > 0 as a refinement scans, or an oracle row, tau2 = k*step while
+        fixed + tau2 <= 1."""
+        if kind == "row":
+            total = optimize._prefix(0.0, step, lambda x: fixed + x <= 1.0, 1.0 - fixed)
+            return 1, total, lambda k: k * step
         hi = 1.0 - fixed
-        with mock.patch.object(optimize, "_SCAN_PIECE", piece), mock.patch.object(
-            optimize, "_INTERVAL", interval
-        ):
-            full = optimize._scan(f, 0.0, hi, step)
-            pruned = optimize._pruned_scan(f, line_bounds(s, axis, fixed), hi, step)
-        total, points = optimize._grid(0.0, hi, step)
-        xs = points(np.arange(total))
-        return full, pruned, f(xs), run_bounds(s, axis, fixed, xs, interval)
+        lo = where * hi if kind == "bracket" else 0.0
+        return (axis, *optimize._grid(lo, hi, step))
 
     @given(
         SCAN_SCENARIOS,
@@ -249,17 +311,30 @@ class TestPrunedScan:
         st.sampled_from([1e-3, 0.0137, 0.25]),
         st.sampled_from([1, 5, 32]),
         st.sampled_from([7, 64, optimize._SCAN_PIECE]),
+        st.sampled_from(["coarse", "bracket", "row"]),
+        st.floats(0.0, 1.0, exclude_min=True),
     )
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     # the run with the largest bound does not hold the maximum
-    @example(Scenario(50, 20.0, 2.0, 0.3), 1, 0.055, 1e-3, 5, optimize._SCAN_PIECE)
-    @example(DEFAULTS, 0, 0.753, 1e-3, 5, 64)
+    @example(Scenario(50, 20.0, 2.0, 0.3), 1, 0.055, 1e-3, 5, optimize._SCAN_PIECE, "coarse", 0.5)
+    @example(DEFAULTS, 0, 0.753, 1e-3, 5, 64, "coarse", 0.5)
+    # scans of many pieces
+    @example(Scenario(50, 20.0, 2.0, 0.3), 1, 0.05, 1e-3, 5, 64, "row", 0.5)
+    @example(Scenario(50, 20.0, 2.0, 0.3), 0, 0.02, 1e-3, 1, 7, "bracket", 0.01)
     def test_matches_full_scan_and_bounds_cover_the_kernel(
-        self, s, axis, fixed, step, interval, piece
+        self, s, axis, fixed, step, interval, piece, kind, where
     ):
-        full, pruned, values, bounds = self.scans(s, axis, fixed, step, interval, piece)
-        assert [v.hex() for v in pruned] == [v.hex() for v in full]
+        axis, total, points = self.samples(kind, axis, fixed, step, where)
+        f = TestGridScan.kernel(s, axis, fixed)
+        with mock.patch.object(optimize, "_SCAN_PIECE", piece), mock.patch.object(
+            optimize, "_INTERVAL", interval
+        ):
+            got = optimize._scan(f, line_bounds(s, axis, fixed), total, points)
+        xs = points(np.arange(total))
+        values = f(xs)
+        assert [v.hex() for v in got] == [v.hex() for v in exhaustive_scan(f, total, points)]
         run_max = np.maximum.reduceat(values, np.arange(0, values.size, interval))
+        bounds = run_bounds(s, axis, fixed, xs, interval)
         assert bounds.shape == run_max.shape
         assert np.all(bounds >= run_max), (bounds - run_max).min()
 
@@ -299,9 +374,9 @@ class TestPrunedScan:
             return f(hi) + hi
 
         with mock.patch.object(optimize, "_SCAN_PIECE", piece):
-            got = optimize._pruned_scan(f, bounds, 1.0, 1e-3)
+            got = scan(f, bounds, 0.0, 1.0, 1e-3)
         want = reference_scan(lambda x: min(math.floor(x * 3.0), 1.0), 0.0, 1.0, 1e-3)
-        assert got == optimize._scan(f, 0.0, 1.0, 1e-3) == want
+        assert got == exhaustive_scan(f, *optimize._grid(0.0, 1.0, 1e-3)) == want
         assert got[0] == 334 * 1e-3
 
     def test_skips_most_of_the_coarse_scan(self):
@@ -313,9 +388,26 @@ class TestPrunedScan:
             evaluated.append(xs.size)
             return kernel(xs)
 
-        got = optimize._pruned_scan(f, line_bounds(s, 1, 0.05), 0.95, 1e-3)
-        assert got == optimize._scan(kernel, 0.0, 0.95, 1e-3)
+        got = scan(f, line_bounds(s, 1, 0.05), 0.0, 0.95, 1e-3)
+        assert got == exhaustive_scan(kernel, *optimize._grid(0.0, 0.95, 1e-3))
         # of 951 samples
+        assert sum(evaluated) < 200, evaluated
+
+    def test_skips_most_of_an_oracle_row_over_many_pieces(self):
+        s = Scenario(50, 20.0, 2.0, 0.3)
+        kernel = TestGridScan.kernel(s, 1, 0.05)
+        points = lambda k: k * 1e-3  # noqa: E731
+        total = optimize._prefix(0.0, 1e-3, lambda x: 0.05 + x <= 1.0, 0.95)
+        evaluated = []
+
+        def f(xs):
+            evaluated.append(xs.size)
+            return kernel(xs)
+
+        # 951 samples in pieces of two runs of 32
+        with mock.patch.object(optimize, "_SCAN_PIECE", 64):
+            got = optimize._scan(f, line_bounds(s, 1, 0.05), total, points)
+        assert got == exhaustive_scan(kernel, total, points)
         assert sum(evaluated) < 200, evaluated
 
 
@@ -484,6 +576,14 @@ class TestGridSearchOracle:
             grid_search_oracle(DEFAULTS, 0.0)
         with pytest.raises(ValueError):
             grid_search_oracle(DEFAULTS, 0.2)
+
+    def test_step_has_a_floor(self):
+        # a finer step grids more than about 5e7 profiles
+        assert optimize._MIN_ORACLE_STEP == 1e-4
+        optimize._check_oracle_step(1e-4)
+        for step in (9.99e-5, 1e-9, 5e-324):
+            with pytest.raises(ValueError, match="too large to run"):
+                grid_search_oracle(DEFAULTS, step)
 
     def test_grid_respects_simplex(self):
         res = grid_search_oracle(Scenario(3, 4.0, 1.5, 0.5), 0.1)
