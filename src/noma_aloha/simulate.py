@@ -14,10 +14,13 @@ SINR of a layer, so the table stops at the first pair of each row that
 decodes nothing and at the first row whose high layer fails on its own;
 every pair beyond decodes nothing.  The tables cover the decodable pairs
 plus one all-zero row and column, and counts beyond them are clipped onto
-that border.  Slots are drawn in chunks.  The optional per-slot trace is
-assembled as bytes by numpy, a block of rows at a time: each row is gathered
-from a per-chunk table of the pairs' encoded row tails, numbered from a table
-of four-digit ASCII groups, and stripped of padding by a keep mask.
+that border, so each slot reads its outcome at one flat index.  Slots are
+drawn in chunks, and each chunk's count pairs are tallied by one key per
+slot.  The optional per-slot trace is assembled as bytes by numpy, a block
+of rows at a time: each row is gathered from a per-chunk table of the pairs'
+encoded row tails by a pair id read from a table indexed by key, numbered
+from a table of four-digit ASCII groups, and written without its zero bytes,
+which are the padding and the slot number's leading zeros.
 """
 
 import math
@@ -125,7 +128,7 @@ def _decode_tables(s: Scenario):
     n1 >= 1 high-power signals fail alone, no larger n1 decodes anything.
     The tables end one row and one column past the largest n1 and n2 that
     decode anything, so that row and column are all zero; pairs never
-    visited keep the all-zero outcome.  Look pairs up through ``_clip``.
+    visited keep the all-zero outcome.  Look pairs up through ``_flat_index``.
     """
     decoded = {}
     for n1 in range(s.m + 1):
@@ -151,20 +154,23 @@ def _decode_tables(s: Scenario):
     return high_ok, low_ok, rate
 
 
-def _clip(tables, n1, n2):
-    """Table indices of count pairs: counts past the decodable region land
-    on the all-zero last row or column."""
-    rows, cols = tables[0].shape
-    return np.minimum(n1, rows - 1), np.minimum(n2, cols - 1)
+def _flat_index(shape, n1, n2):
+    """Index into the raveled tables of count pairs: counts past the
+    decodable region land on the all-zero last row or column."""
+    rows, cols = shape
+    at = np.minimum(n1, rows - 1)
+    at *= cols
+    at += np.minimum(n2, cols - 1)
+    return at
 
 
 def _trace_suffix(tables, n1: int, n2: int) -> bytes:
     """The "n1,n2,high_decoded,low_decoded,sum_rate" tail of a trace row."""
-    high_tab, low_tab, rate_tab = tables
-    at = _clip(tables, n1, n2)
-    high = "true" if high_tab[at] else "false"
-    low = "true" if low_tab[at] else "false"
-    return f"{n1},{n2},{high},{low},{format(float(rate_tab[at]), '.17g')}\n".encode()
+    at = _flat_index(tables[0].shape, n1, n2)
+    high, low, rate = (t.flat[at] for t in tables)
+    high = "true" if high else "false"
+    low = "true" if low else "false"
+    return f"{n1},{n2},{high},{low},{format(float(rate), '.17g')}\n".encode()
 
 
 @lru_cache(maxsize=1)
@@ -181,39 +187,38 @@ def _write_trace(fh, tails, pos, first):
     first + i ends with tails[pos[i]].
 
     Each tail takes one row of a byte table: room for the slot number in
-    whole four-digit groups, a comma, the tail and zero padding.  A keep mask
-    of the same shape drops the padding.  Per block of slots the rows are
-    gathered through a void view (one copy per row), the slot digits are
-    filled in a group at a time, their leading zeros are masked off, and the
-    kept bytes are written at once.
+    whole four-digit groups, a comma, the tail and zero padding.  Per block
+    of slots the rows are gathered through a void view (one copy per row),
+    the slot digits are filled in a group at a time and their leading zeros
+    set to 0.  Digits and tails are ASCII, so the rows' nonzero bytes, written
+    at once, are the trace without its padding.
     """
     groups = -(-len(str(first + len(pos) - 1)) // 4)
     digits = 4 * groups
-    tail_len = np.array([len(t) for t in tails])
-    width = digits + 1 + int(tail_len.max())
+    width = digits + 1 + max(map(len, tails))
     table = np.zeros((len(tails), width), np.uint8)
     table[:, digits] = ord(",")
     table[:, digits + 1 :] = (
         np.array(tails, dtype=f"S{width - digits - 1}").view(np.uint8).reshape(len(tails), -1)
     )
-    keep = np.arange(width) < (digits + 1 + tail_len)[:, None]
     table = table.view(f"V{width}").ravel()
-    keep = keep.view(f"V{width}").ravel()
     ascii_groups = _ascii_groups()
     for lo in range(0, len(pos), _TRACE_BLOCK_ROWS):
         at = pos[lo : lo + _TRACE_BLOCK_ROWS]
         start = first + lo
         rows = table[at].view(np.uint8).reshape(len(at), width)
-        mask = keep[at].view(bool).reshape(len(at), width)
-        slots = np.arange(start, start + len(at))
         field = rows[:, :digits].view(np.uint32)
-        for g in range(groups):
-            field[:, groups - 1 - g] = ascii_groups[slots // 10_000**g % 10_000]
+        slots = np.arange(start, start + len(at))
+        for g in range(groups - 1, 0, -1):
+            slots, group = np.divmod(slots, 10_000)
+            field[:, g] = ascii_groups.take(group)
+        field[:, 0] = ascii_groups.take(slots)
         # the slots below 10**k, a leading run of the block, have a leading
-        # zero in the k-th column left of the last digit
-        for k in range(1, digits):
-            mask[: max(10**k - start, 0), digits - 1 - k] = False
-        fh.write(rows[mask])
+        # zero in the k-th column left of the last digit; for 10**k <= start
+        # that run is empty
+        for k in range(len(str(start)), digits):
+            rows[: 10**k - start, digits - 1 - k] = 0
+        fh.write(rows[rows != 0])
 
 
 def run_simulation(
@@ -238,7 +243,7 @@ def run_simulation(
     back to back).
     """
     tables = _decode_tables(s)
-    high_tab, low_tab, rate_tab = tables
+    high_flat, low_flat, rate_flat = (t.ravel() for t in tables)
     t1 = prof.tau1
     t12 = prof.tau1 + prof.tau2
     # P(low | not high); on the simplex edge the ratio can round above 1
@@ -271,9 +276,9 @@ def run_simulation(
                 n2 = low_rng.binomial(others - n1, q)
                 n1 += tag_high
                 n2 += tag_low
-                at = _clip(tables, n1, n2)
-                slot_high = high_tab[at]
-                slot_low = low_tab[at]
+                at = _flat_index(tables[0].shape, n1, n2)
+                slot_high = high_flat.take(at)
+                slot_low = low_flat.take(at)
                 if cfg.success_estimator == "tagged":
                     success_total += np.count_nonzero(
                         (tag_high & slot_high) | (tag_low & slot_low)
@@ -282,23 +287,32 @@ def run_simulation(
                     success_total += float(
                         np.sum(n1 * slot_high + n2 * slot_low)
                     ) / s.m
-                rate_total += float(rate_tab[at].sum())
-                # one key per slot, wide enough for this chunk's largest n2
+                rate_total += float(rate_flat.take(at).sum())
+                # one key per slot, wide enough for this chunk's largest n2;
+                # keys grow with m and tau, so a count table indexed by key
+                # is used only while it is no longer than the chunk
                 width = int(n2.max()) + 1
                 keys = n1 * width + n2
-                seen, freq = np.unique(keys, return_counts=True)
+                top = int(keys.max())
+                if top < n:
+                    freq = np.bincount(keys)
+                    seen = np.flatnonzero(freq)
+                    freq = freq[seen]
+                    if trace_file is not None:
+                        pair_id = np.empty(top + 1, np.int32)
+                        pair_id[seen] = np.arange(len(seen), dtype=np.int32)
+                        pos = pair_id[keys]
+                elif trace_file is None:
+                    seen, freq = np.unique(keys, return_counts=True)
+                else:
+                    seen, pos, freq = np.unique(keys, return_inverse=True, return_counts=True)
                 pairs = [divmod(k, width) for k in seen.tolist()]
                 pair_counts.update(dict(zip(pairs, freq.tolist())))
                 if trace_file is not None:
                     for pair in pairs:
                         if pair not in suffixes:
                             suffixes[pair] = _trace_suffix(tables, *pair)
-                    _write_trace(
-                        trace_file,
-                        [suffixes[pair] for pair in pairs],
-                        np.searchsorted(seen, keys),
-                        done,
-                    )
+                    _write_trace(trace_file, [suffixes[pair] for pair in pairs], pos, done)
                 done += n
             p_reps[rep] = success_total / cfg.slots
             th_reps[rep] = rate_total / cfg.slots

@@ -20,7 +20,7 @@ from noma_aloha.model import (
     average_throughput,
     success_probability,
 )
-from noma_aloha.simulate import SimConfig, sic_decode
+from noma_aloha.simulate import SimConfig, run_simulation, sic_decode
 from support import boundary_scenarios, random_scenario
 
 
@@ -675,6 +675,26 @@ class TestDeterminism:
         assert main(args + ["--output", str(b)]) == 0
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
+
+    def test_traces_are_byte_identical(self, tmp_path, capsys):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        args = ["simulate", "--tau1", "0.1", "--tau2", "0.1", "--slots", "20000",
+                "--replications", "2", "--seed", "31"]
+        assert main(args + ["--trace-file", str(a)]) == 0
+        first = capsys.readouterr()
+        assert main(args + ["--trace-file", str(b)]) == 0
+        assert capsys.readouterr() == first
+        assert a.read_bytes() == b.read_bytes()
+        assert a.read_bytes().count(b"\n") == 1 + 2 * 20_000
+
+    def test_trace_leaves_the_estimates_alone(self, tmp_path):
+        s = Scenario(m=10, v1=4.0, v2=1.5, gamma=0.3)
+        prof = PowerProfile(0.2, 0.15)
+        cfg = SimConfig(slots=30_000, seed=31, replications=3)
+        traced = run_simulation(s, prof, cfg, trace_path=tmp_path / "trace.csv")
+        untraced = run_simulation(s, prof, cfg)
+        assert traced == untraced
+        assert traced.pair_counts == untraced.pair_counts
 
     # sha256 of the --output bytes, recorded before the kernel evaluated
     # lines: the seed-13 optimize-sweep workload and a fine grid oracle

@@ -529,15 +529,29 @@ class TestCachesAndImports:
             info = table.cache_info()
             assert info.misses == 20 and info.currsize <= 8, info
 
-    def test_cli_import_loads_no_scipy(self):
+    @staticmethod
+    def run_python(code):
         src = os.path.dirname(os.path.dirname(model.__file__))
         path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-        code = "import sys, noma_aloha.cli; print([m for m in sys.modules if m.startswith('scipy')])"
-        out = subprocess.run(
+        return subprocess.run(
             [sys.executable, "-c", code],
             env={**os.environ, "PYTHONPATH": path},
             capture_output=True,
             text=True,
             check=True,
         ).stdout
-        assert out == "[]\n"
+
+    def test_cli_import_loads_no_scipy(self):
+        code = "import sys, noma_aloha.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+        assert self.run_python(code) == "[]\n"
+
+    def test_cli_import_loads_no_numpy_random(self):
+        # numpy.random takes about 13 ms to import: the simulate commands pay
+        # it inside main(), and no command pays it at start-up, unless
+        # importing numpy alone loads it (numpy < 2)
+        code = (
+            "import sys, numpy; before = 'numpy.random' in sys.modules; "
+            "import noma_aloha.cli; print(before, 'numpy.random' in sys.modules)"
+        )
+        before, after = self.run_python(code).split()
+        assert after == "False" or before == "True"

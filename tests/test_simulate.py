@@ -524,3 +524,59 @@ class TestSlotTrace:
         untraced = peak(None)
         traced = peak(tmp_path / "trace.csv")
         assert traced - untraced < 2 * 2**20, (traced, untraced)
+
+
+def spy_tallies(monkeypatch, refuse=()):
+    """Count the chunks tallied by a count table (np.bincount) and by a sort
+    (np.unique); a name in ``refuse`` fails its call before it allocates."""
+    calls = Counter()
+    for name in ("bincount", "unique"):
+        real = getattr(np, name)
+
+        def counted(keys, *args, _name=name, _real=real, **kwargs):
+            assert _name not in refuse, (_name, int(keys.max()), len(keys))
+            calls[_name] += 1
+            return _real(keys, *args, **kwargs)
+
+        monkeypatch.setattr(np, name, counted)
+    return calls
+
+
+class TestPairTally:
+    """A chunk tallies its count pairs with a count table indexed by key
+    while the key range is at most the chunk's slot count, else by a sort."""
+
+    def test_sort_counts_and_traces_what_the_count_table_does(self, tmp_path, monkeypatch):
+        cfg = SimConfig(slots=2_000, seed=53, replications=2)
+        prof = PowerProfile(0.4, 0.4)
+        calls = spy_tallies(monkeypatch)
+        by_table = run_simulation(WIDE, prof, cfg)
+        assert calls == {"bincount": 2}
+        # keys reach 40 or more in every chunk of 30 slots
+        monkeypatch.setattr(simulate, "_CHUNK_SLOTS", 30)
+        calls.clear()
+        path = tmp_path / "trace.csv"
+        untraced = run_simulation(WIDE, prof, cfg)
+        traced = run_simulation(WIDE, prof, cfg, trace_path=path)
+        assert calls == {"unique": 2 * 2 * 67}
+        assert traced == untraced
+        # the chunk size moves the float sums' last bits, not the counts
+        assert untraced.pair_counts == traced.pair_counts == by_table.pair_counts
+        assert path.read_bytes() == csv_trace(WIDE, prof, cfg)
+
+    def test_wide_keys_take_the_sort_without_a_key_sized_table(self, tmp_path, monkeypatch):
+        # keys reach about 1e9 here: a count table would take about 7 GB
+        s = Scenario(m=100_000, v1=4.0, v2=1.5, gamma=1.3)
+        cfg = SimConfig(slots=5_000, seed=61)
+        calls = spy_tallies(monkeypatch, refuse=("bincount",))
+        for trace_path in (None, tmp_path / "trace.csv"):
+            tracemalloc.start()
+            try:
+                stats = run_simulation(s, PowerProfile(0.3, 0.3), cfg, trace_path=trace_path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # mostly the Counter of 5 000 pairs, about 1.2 MB
+            assert peak < 8 * 2**20, (trace_path, peak)
+            assert stats.pair_counts.total() == cfg.slots
+        assert calls == {"unique": 2}
