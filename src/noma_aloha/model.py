@@ -231,8 +231,11 @@ def _terms(s: Scenario):
         rate += [low] * width
     n1, n2 = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
     idle = s.m - n1 - n2
-    lg = np.array([math.lgamma(k + 1) for k in range(s.m + 1)])
-    log_coef = ((lg[s.m] - lg[n1]) - lg[n2]) - lg[idle]
+    # lgamma only at the counts the table holds, so the build does not grow with m
+    ks, at = np.unique(np.concatenate((n1, n2, idle)), return_inverse=True)
+    lg = np.array([math.lgamma(k + 1) for k in ks.tolist()])
+    lg_n1, lg_n2, lg_idle = lg[at].reshape(3, -1)
+    log_coef = ((math.lgamma(s.m + 1) - lg_n1) - lg_n2) - lg_idle
     counts = np.array([n1, n2, idle], dtype=float)
     decoded_users = np.concatenate((n1[:high_terms], n2[high_terms:])).astype(float)
     return counts, log_coef, np.array(rate), decoded_users

@@ -8,19 +8,19 @@ one uniform gives the tagged user's action, and two binomials give how many
 of the other m - 1 users transmit at high and at low power.  A slot
 therefore costs the same at every m.
 
-The decoder is evaluated once per count pair that can decode anything and
-looked up per slot.  Adding a transmitter never raises the first (weakest)
-SINR of a layer, so the table stops at the first pair of each row that
-decodes nothing and at the first row whose high layer fails on its own;
-every pair beyond decodes nothing.  The tables cover the decodable pairs
-plus one all-zero row and column, and counts beyond them are clipped onto
-that border, so each slot reads its outcome at one flat index.  Slots are
-drawn in chunks, and each chunk's count pairs are tallied by one key per
-slot.  The optional per-slot trace is assembled as bytes by numpy, a block
-of rows at a time: each row is gathered from a per-chunk table of the pairs'
-encoded row tails by a pair id read from a table indexed by key, numbered
-from a table of four-digit ASCII groups, and written without its zero bytes,
-which are the padding and the slot number's leading zeros.
+Slots are drawn in chunks.  Each chunk tallies its count pairs by one key
+per slot, which also gives every slot the id of its pair among the pairs
+the chunk drew, and ``sic_decode`` runs on those pairs only.  Adding a
+transmitter never raises the first (weakest) SINR of a layer, and a layer
+decodes fully exactly when its first signal clears gamma, so in each n1 row
+the pairs other than (0, 0) that decode anything come first: a row's drawn
+pairs are decoded in order up to the first that decodes nothing, and the
+rest decode nothing.  Each slot reads its outcome by its pair id.  The
+optional per-slot trace is assembled as bytes by numpy, a block of rows at a
+time: each row is gathered by pair id from a per-chunk table of the drawn
+pairs' encoded row tails, numbered from a table of four-digit ASCII groups,
+and written without its zero bytes, which are the padding and the slot
+number's leading zeros.
 """
 
 import math
@@ -118,59 +118,30 @@ def sic_decode(s: Scenario, n1: int, n2: int) -> SlotOutcome:
     return SlotOutcome(n1, n2, high_decoded, low_decoded, sum_rate)
 
 
-@lru_cache(maxsize=8)
-def _decode_tables(s: Scenario):
-    """Per-count-pair decoder outcomes: layer flags and decoded sum rate.
-
-    Float rounding is monotone, so one more transmitter of either power can
-    only lower the first-signal SINR of each layer: once a pair other than
-    (0, 0) decodes nothing, so does every later pair of its row, and once
-    n1 >= 1 high-power signals fail alone, no larger n1 decodes anything.
-    The tables end one row and one column past the largest n1 and n2 that
-    decode anything, so that row and column are all zero; pairs never
-    visited keep the all-zero outcome.  Look pairs up through ``_flat_index``.
-    """
-    decoded = {}
-    for n1 in range(s.m + 1):
-        for n2 in range(s.m + 1 - n1):
-            out = sic_decode(s, n1, n2)
-            if out.high_decoded or out.low_decoded:
-                decoded[n1, n2] = out
-            elif n1 + n2 > 0:
-                break
-        if n1 >= 1 and (n1, 0) not in decoded:
-            break
-    shape = (
-        max((n1 for n1, _ in decoded), default=-1) + 2,
-        max((n2 for _, n2 in decoded), default=-1) + 2,
-    )
-    high_ok = np.zeros(shape, dtype=bool)
-    low_ok = np.zeros(shape, dtype=bool)
-    rate = np.zeros(shape)
-    for pair, out in decoded.items():
-        high_ok[pair] = out.high_decoded
-        low_ok[pair] = out.low_decoded
-        rate[pair] = out.sum_rate
-    return high_ok, low_ok, rate
+def _decode_drawn(s: Scenario, pairs):
+    """Layer flags and decoded sum rates of the drawn count pairs, given as
+    (n1, n2) sorted by n1 and then by n2.  Each row is decoded up to its
+    first pair other than (0, 0) that decodes nothing; the pairs after it
+    keep the all-zero outcome."""
+    high = np.zeros(len(pairs), dtype=bool)
+    low = np.zeros(len(pairs), dtype=bool)
+    rate = np.zeros(len(pairs))
+    done_row = -1
+    for i, (n1, n2) in enumerate(pairs):
+        if n1 == done_row:
+            continue
+        out = sic_decode(s, n1, n2)
+        high[i], low[i], rate[i] = out.high_decoded, out.low_decoded, out.sum_rate
+        if not (out.high_decoded or out.low_decoded) and n1 + n2 > 0:
+            done_row = n1
+    return high, low, rate
 
 
-def _flat_index(shape, n1, n2):
-    """Index into the raveled tables of count pairs: counts past the
-    decodable region land on the all-zero last row or column."""
-    rows, cols = shape
-    at = np.minimum(n1, rows - 1)
-    at *= cols
-    at += np.minimum(n2, cols - 1)
-    return at
-
-
-def _trace_suffix(tables, n1: int, n2: int) -> bytes:
+def _trace_suffix(n1: int, n2: int, high: bool, low: bool, rate: float) -> bytes:
     """The "n1,n2,high_decoded,low_decoded,sum_rate" tail of a trace row."""
-    at = _flat_index(tables[0].shape, n1, n2)
-    high, low, rate = (t.flat[at] for t in tables)
     high = "true" if high else "false"
     low = "true" if low else "false"
-    return f"{n1},{n2},{high},{low},{format(float(rate), '.17g')}\n".encode()
+    return f"{n1},{n2},{high},{low},{format(rate, '.17g')}\n".encode()
 
 
 @lru_cache(maxsize=1)
@@ -242,8 +213,6 @@ def run_simulation(
     (slot index restarts at 0 in each replication; replications are written
     back to back).
     """
-    tables = _decode_tables(s)
-    high_flat, low_flat, rate_flat = (t.ravel() for t in tables)
     t1 = prof.tau1
     t12 = prof.tau1 + prof.tau2
     # P(low | not high); on the simplex edge the ratio can round above 1
@@ -254,7 +223,6 @@ def run_simulation(
     pair_counts = Counter()
 
     trace_file = None
-    suffixes = {}
     if trace_path is not None:
         trace_file = open(trace_path, "wb")
         trace_file.write((",".join(TRACE_HEADER) + "\n").encode())
@@ -276,18 +244,6 @@ def run_simulation(
                 n2 = low_rng.binomial(others - n1, q)
                 n1 += tag_high
                 n2 += tag_low
-                at = _flat_index(tables[0].shape, n1, n2)
-                slot_high = high_flat.take(at)
-                slot_low = low_flat.take(at)
-                if cfg.success_estimator == "tagged":
-                    success_total += np.count_nonzero(
-                        (tag_high & slot_high) | (tag_low & slot_low)
-                    )
-                else:
-                    success_total += float(
-                        np.sum(n1 * slot_high + n2 * slot_low)
-                    ) / s.m
-                rate_total += float(rate_flat.take(at).sum())
                 # one key per slot, wide enough for this chunk's largest n2;
                 # keys grow with m and tau, so a count table indexed by key
                 # is used only while it is no longer than the chunk
@@ -298,21 +254,30 @@ def run_simulation(
                     freq = np.bincount(keys)
                     seen = np.flatnonzero(freq)
                     freq = freq[seen]
-                    if trace_file is not None:
-                        pair_id = np.empty(top + 1, np.int32)
-                        pair_id[seen] = np.arange(len(seen), dtype=np.int32)
-                        pos = pair_id[keys]
-                elif trace_file is None:
-                    seen, freq = np.unique(keys, return_counts=True)
+                    pair_id = np.empty(top + 1, np.int32)
+                    pair_id[seen] = np.arange(len(seen), dtype=np.int32)
+                    pos = pair_id[keys]
                 else:
                     seen, pos, freq = np.unique(keys, return_inverse=True, return_counts=True)
+                # seen is sorted, so the pairs are sorted by n1, then n2
                 pairs = [divmod(k, width) for k in seen.tolist()]
+                high, low, rate = _decode_drawn(s, pairs)
+                slot_high = high.take(pos)
+                slot_low = low.take(pos)
+                if cfg.success_estimator == "tagged":
+                    success_total += np.count_nonzero(
+                        (tag_high & slot_high) | (tag_low & slot_low)
+                    )
+                else:
+                    success_total += float(
+                        np.sum(n1 * slot_high + n2 * slot_low)
+                    ) / s.m
+                rate_total += float(rate.take(pos).sum())
                 pair_counts.update(dict(zip(pairs, freq.tolist())))
                 if trace_file is not None:
-                    for pair in pairs:
-                        if pair not in suffixes:
-                            suffixes[pair] = _trace_suffix(tables, *pair)
-                    _write_trace(trace_file, [suffixes[pair] for pair in pairs], pos, done)
+                    outcomes = zip(high.tolist(), low.tolist(), rate.tolist())
+                    tails = [_trace_suffix(*pair, *out) for pair, out in zip(pairs, outcomes)]
+                    _write_trace(trace_file, tails, pos, done)
                 done += n
             p_reps[rep] = success_total / cfg.slots
             th_reps[rep] = rate_total / cfg.slots

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -358,6 +359,45 @@ class TestLeftSum:
         with mock.patch.object(math, "log2", wraps=math.log2) as log2:
             model._terms.__wrapped__(s)
         assert log2.call_count <= high_columns + b.low_max
+
+
+def assert_log_coefs_are_lgamma_differences(s):
+    # log(m! / (n1! n2! idle!)) per column, subtracted left to right
+    counts, log_coef, _, _ = model._terms.__wrapped__(s)
+    expected = [
+        ((math.lgamma(s.m + 1) - math.lgamma(n1 + 1)) - math.lgamma(n2 + 1)) - math.lgamma(idle + 1)
+        for n1, n2, idle in counts.T.astype(int).tolist()
+    ]
+    assert [c.hex() for c in log_coef.tolist()] == [c.hex() for c in expected], s
+
+
+class TestLogCoefficients:
+    @pytest.mark.parametrize(
+        "s",
+        # the 12 gammas of the optimize-sweep make-up, then the CLI defaults
+        [Scenario(50, 20.0, 2.0, 0.173 + 0.13 * k) for k in range(12)] + [DEFAULTS],
+    )
+    def test_match_lgamma_per_column(self, s):
+        assert_log_coefs_are_lgamma_differences(s)
+
+    @given(boundary_scenarios())
+    @settings(max_examples=100, deadline=None)
+    def test_match_lgamma_per_column_on_sinr_boundaries(self, s):
+        assert_log_coefs_are_lgamma_differences(s)
+
+    def test_analyze_memory_does_not_grow_with_m(self, capsys):
+        # a table of 4 columns at m = 10**6: lgamma over 0..m would take
+        # more than 30 MiB
+        model.region_bounds.cache_clear()
+        model._terms.cache_clear()
+        tracemalloc.start()
+        try:
+            assert main(["analyze", "--m", str(10**6), "--gamma", "1.3"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert peak < 4 * 2**20, peak
 
 
 class TestAverageThroughput:

@@ -10,6 +10,7 @@ import io
 import math
 import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -49,17 +50,6 @@ def full_decode_tables(s):
         low_ok[n1, n2] = out.low_decoded
         rate[n1, n2] = out.sum_rate
     return high_ok, low_ok, rate
-
-
-def assert_tables_match_full_grid(s):
-    """Every pair of the (m+1)^2 grid, clipped onto the small tables' border,
-    reads what sic_decode gives for it."""
-    got = simulate._decode_tables.__wrapped__(s)
-    rows, cols = got[0].shape
-    n1, n2 = np.indices((s.m + 1, s.m + 1))
-    at = np.minimum(n1, rows - 1), np.minimum(n2, cols - 1)
-    for name, a, b in zip(("high_ok", "low_ok", "rate"), got, full_decode_tables(s)):
-        assert np.array_equal(a[at], b), (name, s)
 
 
 def replication_streams(seed, rep):
@@ -195,18 +185,74 @@ class TestSicDecode:
                 assert out.sum_rate == pytest.approx(expected, rel=0, abs=1e-12)
 
 
-class TestDecodeTables:
-    def test_early_exit_matches_full_grid_on_random_scenarios(self):
+def spy_decoder(monkeypatch):
+    """Record the pairs ``sic_decode`` is called on, one list per chunk (per
+    ``_decode_drawn`` call)."""
+    chunks = []
+    real_decode, real_drawn = simulate.sic_decode, simulate._decode_drawn
+
+    def decode(s, n1, n2):
+        chunks[-1].append((n1, n2))
+        return real_decode(s, n1, n2)
+
+    def drawn(*args):
+        chunks.append([])
+        return real_drawn(*args)
+
+    monkeypatch.setattr(simulate, "sic_decode", decode)
+    monkeypatch.setattr(simulate, "_decode_drawn", drawn)
+    return chunks
+
+
+class TestDrawnPairDecoding:
+    """Each chunk decodes only the count pairs it drew, each row up to its
+    first pair that decodes nothing; every slot's outcome must still be what
+    sic_decode gives for its pair."""
+
+    # wide enough that most pairs of a small population are drawn
+    PROF = PowerProfile(0.3, 0.3)
+    CFG = SimConfig(slots=1_000, seed=71, replications=2)
+
+    def assert_matches_references(self, s, path):
+        with mock.patch.object(simulate, "_CHUNK_SLOTS", 300):
+            stats = run_simulation(s, self.PROF, self.CFG, trace_path=path)
+        assert path.read_bytes() == csv_trace(s, self.PROF, self.CFG), s
+        want, want_counts = chunked_reference(s, self.PROF, self.CFG, chunk=300)
+        assert stats == want, s
+        assert stats.pair_counts == want_counts, s
+
+    def test_matches_references_on_random_scenarios(self, tmp_path):
         rng = np.random.default_rng(404)
         for _ in range(200):
-            assert_tables_match_full_grid(random_scenario(rng, m_max=30, gamma_lo=0.05))
+            s = random_scenario(rng, m_max=30, gamma_lo=0.05)
+            self.assert_matches_references(s, tmp_path / "trace.csv")
 
     @given(boundary_scenarios())
     @settings(max_examples=200, deadline=None)
-    def test_early_exit_matches_full_grid_on_sinr_boundaries(self, s):
-        assert_tables_match_full_grid(s)
+    def test_matches_references_on_sinr_boundaries(self, tmp_path_factory, s):
+        self.assert_matches_references(s, tmp_path_factory.mktemp("trace") / "trace.csv")
 
-    def test_wide_population_decodes_few_pairs(self, monkeypatch):
+    def test_each_chunk_decodes_only_its_drawn_pairs_once(self, monkeypatch):
+        # 2 500 slots in chunks of 700, two replications: eight chunks
+        cfg = SimConfig(slots=2_500, seed=73, replications=2)
+        prof = PowerProfile(0.2, 0.15)
+        monkeypatch.setattr(simulate, "_CHUNK_SLOTS", 700)
+        chunks = spy_decoder(monkeypatch)
+        stats = run_simulation(WIDE, prof, cfg)
+        assert len(chunks) == 8
+        for rep in range(cfg.replications):
+            _, _, n1s, n2s = draw_slots(replication_streams(cfg.seed, rep), prof, WIDE.m, cfg.slots)
+            for k, lo in enumerate(range(0, cfg.slots, 700)):
+                calls = chunks[4 * rep + k]
+                drawn = set(zip(n1s[lo : lo + 700].tolist(), n2s[lo : lo + 700].tolist()))
+                assert len(set(calls)) == len(calls), (rep, k)
+                assert set(calls) <= drawn, (rep, k)
+                assert all(pair in stats.pair_counts for pair in calls)
+
+    def test_low_gamma_decodes_no_more_pairs_than_it_draws(self, monkeypatch):
+        # the decodable region here holds tens of thousands of pairs, and a
+        # run at tau = 0.01 draws about a hundred of them
+        s = Scenario(m=300, v1=4.0, v2=1.5, gamma=1e-3)
         calls = []
 
         def counted(s, n1, n2):
@@ -214,21 +260,8 @@ class TestDecodeTables:
             return sic_decode(s, n1, n2)
 
         monkeypatch.setattr(simulate, "sic_decode", counted)
-        high_ok, low_ok, _ = simulate._decode_tables.__wrapped__(
-            Scenario(m=1000, v1=4.0, v2=1.5, gamma=1.3)
-        )
-        # (0,1), (1,0) and (1,1) decode; one failing pair ends each of the
-        # three rows visited
-        assert sorted(calls) == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 0)]
-        assert high_ok.sum() == 2 and low_ok.sum() == 2
-        # sized by the decodable region plus the all-zero border, not by m
-        assert high_ok.shape[0] <= 3 and high_ok.shape[1] <= 3
-
-    def test_tables_do_not_grow_with_m(self):
-        tables = simulate._decode_tables.__wrapped__(
-            Scenario(m=100_000, v1=4.0, v2=1.5, gamma=1.3)
-        )
-        assert all(t.size < 100 for t in tables)
+        stats = run_simulation(s, PowerProfile(0.01, 0.01), SimConfig(slots=20_000, seed=79))
+        assert len(calls) <= len(stats.pair_counts)
 
 
 class TestSimConfig:
