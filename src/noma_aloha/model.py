@@ -16,11 +16,16 @@ it on a line of the simplex: one coordinate varies over a batch of points
 and the other is fixed.  The optimizer's scans and the grid oracle's rows
 are lines, and a single profile is a line of one point.  The fixed
 coordinate enters the kernel as one row computed once per line, and the
-kernel reduces only the weight column its caller reads.
+kernel reduces only the weight column its caller reads.  A scan takes a
+line with closed-form upper bounds on runs of its points, whose per-scenario
+constants the table holds too, and one element budget: at most
+max(1, 2**14 // T) points per kernel call and runs per bounds call, T the
+table's size.
 """
 
 import bisect
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -183,8 +188,10 @@ def region_bounds(s: Scenario) -> RegionBounds:
     return RegionBounds(high_max, low_given_high, low_max, high_given_low)
 
 
-# Profiles are evaluated in blocks of about this many profile x term
-# elements, so a batch of any size holds a few blocks of temporaries at once.
+# A line's element budget: each kernel call evaluates at most
+# max(1, _BLOCK_ELEMENTS // T) points and each bounds call bounds at most as
+# many runs, T the table's size, so no call holds more than a few arrays of
+# about this many profile x term elements.
 _BLOCK_ELEMENTS = 1 << 14
 
 # Stands in for log(0).  n * _LOG_ZERO is (minus) zero at n = 0, so 0 * log(0)
@@ -192,17 +199,29 @@ _BLOCK_ELEMENTS = 1 << 14
 # m log 3) without overflowing, so its exp is exactly 0, as exp(-inf) is.
 _LOG_ZERO = -1e200
 
+# The scan bound's exponent is raised by _REL_SLACK times the size of the logs
+# it sums, plus _ABS_SLACK: far above the rounding of the kernel's logs, sums
+# and exps and of the bound's own, at any m.
+_REL_SLACK = 2.0**-45
+_ABS_SLACK = 2.0**-30
+
+
+_Table = namedtuple("_Table", "counts log_coef rate users scaled spread slack")
+
 
 @lru_cache(maxsize=8)
-def _terms(s: Scenario):
+def _terms(s: Scenario) -> _Table:
     """The per-scenario summation table over the m users.
 
     One column per (decodable count pair, layer): the high region in (n1, n2)
-    scan order, then the low region in (n2, n1) scan order.  Returns the
+    scan order, then the low region in (n2, n1) scan order.  Holds the
     (3, T) counts n1, n2 and m - n1 - n2 as floats, the log trinomial
     coefficients log(m! / (n1! n2! (m - n1 - n2)!)), the conditional layer
     rates and the users each layer decodes (n1 on high columns, n2 on low
-    columns).
+    columns); then the scan bounds' constants: the counts scaled by
+    1 - _REL_SLACK, max(a + c, 1) for each axis (a the axis count, c the
+    idle count) and the additive slack ``_REL_SLACK (4|L| + 2m) +
+    _ABS_SLACK`` (see _line_bounds).
 
     A layer's rate adds one log2(1 + SINR) term per decoded signal, left to
     right from 0.0 (builtin sum() compensates from Python 3.12 on, which
@@ -237,8 +256,12 @@ def _terms(s: Scenario):
     lg_n1, lg_n2, lg_idle = lg[at].reshape(3, -1)
     log_coef = ((math.lgamma(s.m + 1) - lg_n1) - lg_n2) - lg_idle
     counts = np.array([n1, n2, idle], dtype=float)
-    decoded_users = np.concatenate((n1[:high_terms], n2[high_terms:])).astype(float)
-    return counts, log_coef, np.array(rate), decoded_users
+    users = np.concatenate((n1[:high_terms], n2[high_terms:])).astype(float)
+    spread = np.maximum(counts[:2] + counts[2], 1.0)
+    slack = _REL_SLACK * (4.0 * np.abs(log_coef) + 2.0 * s.m) + _ABS_SLACK
+    return _Table(
+        counts, log_coef, np.array(rate), users, counts * (1.0 - _REL_SLACK), spread, slack
+    )
 
 
 def _log(x) -> float:
@@ -257,7 +280,9 @@ def _line(s: Scenario, axis: int, fixed: float, column: int = _RATE):
     Coordinate ``axis`` (0: tau1, 1: tau2) varies and the other is held at
     ``fixed``.  Returns ``sums(xs)``, which maps a 1-D array of values of
     the varying coordinate to the (K,) sums of ``w * pmf`` over the table,
-    ``w`` the ``column`` of ``_terms(s)``.
+    ``w`` the ``column`` of ``_terms(s)``.  A call holds a few (K, T)
+    arrays, so a caller with many points evaluates them in calls of at most
+    the line's element budget (see _scan_line).
 
     A profile's log mass is ``((log_coef + a) + b) + c`` with a, b, c the
     count-weighted logs of tau1, tau2 and the idle probability
@@ -270,21 +295,10 @@ def _line(s: Scenario, axis: int, fixed: float, column: int = _RATE):
     its points and of their idle values in one pass.
     """
     table = _terms(s)
-    counts, log_coef, weight = table[0], table[1], table[column]
+    counts, weight = table.counts, table[column]
     n_x, n_idle = counts[axis], counts[2]
     row = _log(fixed) * counts[1 - axis]
-    head, rows = (log_coef, (row,)) if axis == 0 else (log_coef + row, ())
-    size = log_coef.size
-
-    def weighted_pmf(log_x, log_idle, log_p=None, term=None):
-        log_p = np.multiply(log_x, n_x, out=log_p)
-        log_p += head
-        for r in rows:
-            log_p += r
-        log_p += np.multiply(log_idle, n_idle, out=term)
-        pmf = np.exp(log_p, out=log_p)
-        pmf *= weight
-        return pmf
+    head = table.log_coef if axis == 0 else table.log_coef + row
 
     def sums(xs):
         k = xs.size
@@ -293,20 +307,76 @@ def _line(s: Scenario, axis: int, fixed: float, column: int = _RATE):
         logs = np.array(
             [math.log(v) if v > 0.0 else _LOG_ZERO for v in np.concatenate((xs, idle)).tolist()]
         )
-        log_x, log_idle = logs[:k, None], logs[k:, None]
-        if k * size <= _BLOCK_ELEMENTS:
-            return np.add.reduce(weighted_pmf(log_x, log_idle), axis=1)
-        out = np.empty(k)
-        block = max(1, _BLOCK_ELEMENTS // size)
-        # two blocks of temporaries serve the whole call
-        log_p, term = np.empty((2, block, size))
-        for a in range(0, k, block):
-            b = slice(a, a + block)
-            pmf = weighted_pmf(log_x[b], log_idle[b], log_p[: k - a], term[: k - a])
-            np.add.reduce(pmf, axis=1, out=out[b])
-        return out
+        log_p = np.multiply(logs[:k, None], n_x)
+        log_p += head
+        if axis == 0:
+            log_p += row
+        log_p += np.multiply(logs[k:, None], n_idle)
+        pmf = np.exp(log_p, out=log_p)
+        pmf *= weight
+        return np.add.reduce(pmf, axis=1)
 
     return sums
+
+
+def _log0(t):
+    """np.log of each entry, _LOG_ZERO at zero, as the kernel takes it."""
+    return np.log(t, out=np.full(t.shape, _LOG_ZERO), where=t > 0.0)
+
+
+def _line_bounds(s: Scenario, axis: int, fixed: float):
+    """Upper bounds on the kernel's throughput on runs of a line:
+    coordinate ``axis`` runs over [lo, hi] and the other is at ``fixed``.
+    Returns ``bounds(lo, hi)``, one bound per entry of the arrays of run
+    ends; a call holds a few (runs, T) arrays.
+
+    Along the axis, with a, b and c the term's axis, fixed and idle counts,
+    a term's log mass ``g = L + b log(fixed) + a log(x) + c log(1 - fixed - x)``
+    is concave in x and peaks at ``a (1 - fixed) / (a + c)``; clipped to the
+    run's [lo, hi], that point gives the term's largest mass on the run.  As
+    log is monotone, the clip is taken on the logs.  The kernel's idle
+    probability exceeds 1 - fixed - x by at most 2**-52, so the bound puts
+    ``room`` = (1 - fixed) + 2**-50 in place of 1 - fixed.  The exponent
+    is raised by ``_REL_SLACK (2|L| + m + |g|) + _ABS_SLACK``; as
+    g <= L + m * 2**-50, ``g (1 - _REL_SLACK) + _REL_SLACK (4|L| + 2m) +
+    _ABS_SLACK`` is at least that.  A zero probability counts as _LOG_ZERO,
+    as in the kernel, so a term that vanishes there is exactly 0 here too.
+    The scaled counts, spreads and slacks come with the table; the peak and
+    the head are computed once per line.
+    """
+    table = _terms(s)
+    room = (1.0 - fixed) + 2.0**-50
+    peak = table.counts[axis] * room / table.spread[axis]
+    head = (table.log_coef + _log(fixed) * table.counts[1 - axis]) * (1.0 - _REL_SLACK)
+    head += table.slack
+    log_peak, idle_peak = _log0(np.concatenate((peak, room - peak))).reshape(2, -1)
+    a, c = table.scaled[axis], table.scaled[2]
+
+    def bounds(lo, hi):
+        # Where the kernel's idle probability is 0 at lo, it is 0 on the
+        # whole run, and so is every term with idle users.
+        idle_at_lo = (1.0 - lo) - fixed if axis == 0 else (1.0 - fixed) - lo
+        ends = (lo, hi, room - hi, (room - lo) * (idle_at_lo > 0.0))
+        # idle falls as x rises, so its log at hi is the low end of its clip
+        log_lo, log_hi, idle_hi, idle_lo = _log0(np.concatenate(ends)).reshape(4, -1, 1)
+        g = np.minimum(np.maximum(log_peak, log_lo), log_hi)
+        g *= a
+        g += head
+        log_idle = np.minimum(np.maximum(idle_peak, idle_hi), idle_lo)
+        log_idle *= c
+        g += log_idle
+        return np.exp(g, out=g) @ table.rate
+
+    return bounds
+
+
+def _scan_line(s: Scenario, axis: int, fixed: float):
+    """The throughput on a line, as a scan takes it: ``(sums, bounds,
+    budget)``, the line's kernel, the bounds on its runs and its element
+    budget, the most points a kernel call evaluates and the most runs a
+    bounds call bounds, max(1, _BLOCK_ELEMENTS // T)."""
+    budget = max(1, _BLOCK_ELEMENTS // max(1, _terms(s).log_coef.size))
+    return _line(s, axis, fixed), _line_bounds(s, axis, fixed), budget
 
 
 def _at(s: Scenario, prof: PowerProfile, column: int) -> float:

@@ -10,16 +10,18 @@ built once and evaluated on batches of sample points, reducing only the
 throughput.  A scan's samples are indexed by k; a sample's float is formed
 from k, and only for the samples a scan evaluates or bounds.
 
-Every scan is pruned.  Each term of the mixture is log-concave along the
-scanned axis, so its largest value on a run of samples sits at its
-stationary point clipped to the run, and the sum of those values, raised by
-a slack for rounding, bounds the kernel's throughput on the run.  A scan
-bounds its runs a piece at a time, evaluates the piece's run with the
+Every scan is pruned by the bounds the model hands out with each line: each
+term of the mixture is log-concave along the scanned axis, so the sum of
+its values at their stationary points clipped to a run of samples, raised
+by a slack for rounding, bounds the kernel's throughput on the run.  The
+line's one element budget, max(1, 2**14 // T) for a table of T terms, is
+the most points a kernel call evaluates and the most runs a bounds call
+bounds, so a scan holds bounded memory at any step.  A scan bounds its runs
+a piece of that many runs at a time, evaluates the piece's run with the
 largest bound first, then only the runs whose bound is not below the best
 value found.  A skipped sample lies strictly below that value and the kernel
 gives a point the same bits in any batch, so the argmax, its ties and every
-output bit are those of the full scan.  The bounds' constants are computed
-once per scenario and once per line.
+output bit are those of the full scan.
 """
 
 import math
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import _BLOCK_ELEMENTS, _LOG_ZERO, Scenario, _line, _log, _terms
+from .model import Scenario, _scan_line
 
 # not called here any more: the benchmark's layer probe and traced runs patch
 # ``optimize.average_throughput`` by name, so the name stays importable
@@ -101,11 +103,6 @@ class OptimizationResult:
     trace: tuple[tuple[int, float, float, float], ...]
 
 
-# Sample points are bounded, formed and evaluated at most this many at a
-# time, so every scan holds bounded memory at any step.
-_SCAN_PIECE = 1 << 16
-
-
 def _prefix(lo, step, keep, end):
     """Number of k >= 0 with keep(lo + k*step), which holds on a prefix of
     the k, as lo + k*step never decreases in k.  ``end`` estimates where
@@ -139,162 +136,82 @@ def _grid(lo, hi, step):
     return n + 1, points
 
 
-def _best(f, points, pieces, best):
-    """(k, x, f(x)) of the first maximum of f over the samples of
-    ``pieces``, ascending index arrays, from ``best`` on: a larger value
-    wins, and an equal one only at a smaller index, as np.argmax's first
-    index.  f maps an array of points to an array of values."""
-    best_k, best_x, best_f = best
-    for k in pieces:
-        x = points(k)
-        fx = f(x)
-        i = int(fx.argmax())
-        if fx[i] > best_f or (fx[i] == best_f and k[i] < best_k):
-            best_k, best_x, best_f = k[i], x[i], fx[i]
-    return best_k, best_x, best_f
-
-
 # Scan samples are bounded, and evaluated or skipped, in runs of this many
 # consecutive points.
 _INTERVAL = 32
 
-# The bound's exponent is raised by _REL_SLACK times the size of the logs it
-# sums, plus _ABS_SLACK: far above the rounding of the kernel's logs, sums and
-# exps and of the bound's own, at any m.
-_REL_SLACK = 2.0**-45
-_ABS_SLACK = 2.0**-30
 
-
-def _log0(t):
-    """np.log of each entry, _LOG_ZERO at zero, as the kernel takes it."""
-    return np.log(t, out=np.full(t.shape, _LOG_ZERO), where=t > 0.0)
-
-
-def _table_bounds(s: Scenario):
-    """The parts of the scan bounds that depend only on the
-    scenario's table: its counts, log coefficients and rates, the counts
-    scaled by 1 - _REL_SLACK, max(a + c, 1) for each axis and the additive
-    slack ``_REL_SLACK (4|L| + 2m) + _ABS_SLACK`` (see _line_bounds)."""
-    counts, log_coef, rate = _terms(s)[:3]
-    spread = np.maximum(counts[:2] + counts[2], 1.0)
-    slack = _REL_SLACK * (4.0 * np.abs(log_coef) + 2.0 * s.m) + _ABS_SLACK
-    return counts, log_coef, rate, counts * (1.0 - _REL_SLACK), spread, slack
-
-
-def _line_bounds(table, axis: int, fixed: float):
-    """Upper bounds on the kernel's throughput on runs of a line:
-    coordinate ``axis`` runs over [lo, hi] and the other is at ``fixed``.
-    Returns ``bounds(lo, hi)``, one bound per entry of the arrays of run
-    ends; ``table`` is ``_table_bounds(s)``.
-
-    Along the axis, with a, b and c the term's axis, fixed and idle counts,
-    a term's log mass ``g = L + b log(fixed) + a log(x) + c log(1 - fixed - x)``
-    is concave in x and peaks at ``a (1 - fixed) / (a + c)``; clipped to the
-    run's [lo, hi], that point gives the term's largest mass on the run.  As
-    log is monotone, the clip is taken on the logs.  The kernel's idle
-    probability exceeds 1 - fixed - x by at most 2**-52, so the bound puts
-    ``budget`` = (1 - fixed) + 2**-50 in place of 1 - fixed.  The exponent
-    is raised by ``_REL_SLACK (2|L| + m + |g|) + _ABS_SLACK``; as
-    g <= L + m * 2**-50, ``g (1 - _REL_SLACK) + _REL_SLACK (4|L| + 2m) +
-    _ABS_SLACK`` is at least that.  A zero probability counts as _LOG_ZERO,
-    as in the kernel, so a term that vanishes there is exactly 0 here too.
-    The peak and the head are computed once per line.
-    """
-    counts, log_coef, rate, scaled, spread, slack = table
-    budget = (1.0 - fixed) + 2.0**-50
-    peak = counts[axis] * budget / spread[axis]
-    head = (log_coef + _log(fixed) * counts[1 - axis]) * (1.0 - _REL_SLACK)
-    head += slack
-    log_peak, idle_peak = _log0(np.concatenate((peak, budget - peak))).reshape(2, -1)
-    a, c = scaled[axis], scaled[2]
-    rows = max(1, _BLOCK_ELEMENTS // max(1, rate.size))
-
-    def bounds(lo, hi):
-        out = np.empty(lo.size)
-        for r in range(0, lo.size, rows):
-            lo_r, hi_r = lo[r : r + rows], hi[r : r + rows]
-            # Where the kernel's idle probability is 0 at lo, it is 0 on the
-            # whole run, and so is every term with idle users.
-            idle_at_lo = (1.0 - lo_r) - fixed if axis == 0 else (1.0 - fixed) - lo_r
-            ends = (lo_r, hi_r, budget - hi_r, (budget - lo_r) * (idle_at_lo > 0.0))
-            # idle falls as x rises, so its log at hi is the low end of its clip
-            log_lo, log_hi, idle_hi, idle_lo = _log0(np.concatenate(ends)).reshape(4, -1, 1)
-            g = np.minimum(np.maximum(log_peak, log_lo), log_hi)
-            g *= a
-            g += head
-            log_idle = np.minimum(np.maximum(idle_peak, idle_hi), idle_lo)
-            log_idle *= c
-            g += log_idle
-            out[r : r + rows] = np.exp(g, out=g) @ rate
-        return out
-
-    return bounds
-
-
-def _run_samples(first, total):
-    """The indices of the samples in the runs of _INTERVAL that start at the
-    ascending ``first``, the last run of the scan possibly shorter, in pieces
-    of at most _SCAN_PIECE."""
+def _best(f, points, first, total, budget, best):
+    """(k, x, f(x)) of the first maximum of f over the samples in the runs
+    of _INTERVAL that start at the ascending ``first``, the last run of the
+    scan possibly shorter, from ``best`` on: a larger value wins, and an
+    equal one only at a smaller index, as np.argmax's first index.  f maps
+    an array of at most ``budget`` points to an array of values."""
     k = (first[:, None] + np.arange(_INTERVAL)).ravel()
     k = k[k < total]
-    for b in range(0, k.size, _SCAN_PIECE):
-        yield k[b : b + _SCAN_PIECE]
+    best_k, best_x, best_f = best
+    for a in range(0, k.size, budget):
+        piece = k[a : a + budget]
+        x = points(piece)
+        fx = f(x)
+        i = int(fx.argmax())
+        if fx[i] > best_f or (fx[i] == best_f and piece[i] < best_k):
+            best_k, best_x, best_f = piece[i], x[i], fx[i]
+    return best_k, best_x, best_f
 
 
-def _scan(f, bounds, total, points):
+def _scan(f, bounds, budget, total, points):
     """(x, f(x)) of the first maximum of f over ``total`` samples, where
     ``points`` maps an ascending array of indices to the samples' floats, as
     ``_grid`` returns them.
 
     f maps an array of points to an array of values; ``bounds(lo, hi)``
     bounds f from above on each run of _INTERVAL samples, given the arrays
-    of the runs' first and last points.  The runs are bounded a piece of
-    _SCAN_PIECE samples at a time.  In each piece, the run with the largest
-    bound is evaluated first, then every other run, each only if its bound
-    is not below the best value found so far; a piece of one run is
-    evaluated without a bound.  Ties keep the first (smallest) sample, as
-    np.argmax does.
+    of the runs' first and last points.  ``budget`` is the most points a
+    call of f takes and the most runs a call of bounds takes, so the scan
+    goes a piece of ``budget`` runs at a time.  In each piece, the run with
+    the largest bound is evaluated first, then every other run, each only if
+    its bound is not below the best value found so far; a piece of one run
+    is evaluated without a bound while nothing has been evaluated.  Ties
+    keep the first (smallest) sample, as np.argmax does.
     """
     best = (-1, math.nan, -math.inf)
-    per = max(1, _SCAN_PIECE // _INTERVAL) * _INTERVAL
+    per = budget * _INTERVAL
     for a in range(0, total, per):
         first = np.arange(a, min(a + per, total), _INTERVAL)
-        if first.size > 1:
+        if first.size > 1 or best[2] > -math.inf:
             b = bounds(points(first), points(np.minimum(first + (_INTERVAL - 1), total - 1)))
             j = int(np.argmax(b))
             if not b[j] < best[2]:
-                best = _best(f, points, _run_samples(first[j : j + 1], total), best)
+                best = _best(f, points, first[j : j + 1], total, budget, best)
             b[j] = -math.inf  # evaluated or ruled out
             first = first[~(b < best[2])]
-        best = _best(f, points, _run_samples(first, total), best)
+        best = _best(f, points, first, total, budget, best)
     return float(best[1]), float(best[2])
 
 
-def _maximize_1d(f, bounds, hi, cfg: AscentConfig):
-    x, fx = _scan(f, bounds, *_grid(0.0, hi, cfg.grid_step))
+def _maximize_over(s: Scenario, axis: int, fixed: float, cfg: AscentConfig):
+    """Best value of coordinate ``axis`` (0: tau1, 1: tau2) in [0, 1 - fixed]
+    with the other coordinate held at ``fixed``, and the attained throughput:
+    a coarse scan, then ``cfg.refine_rounds`` bracket refinements.  The
+    line's kernel and bounds are built once and serve every scan."""
+    if not 0.0 <= fixed <= 1.0:
+        raise ValueError(f"{('tau2', 'tau1')[axis]} must lie in [0, 1]")
+    line = _scan_line(s, axis, fixed)
+    hi = 1.0 - fixed
+    x, fx = _scan(*line, *_grid(0.0, hi, cfg.grid_step))
     width = cfg.grid_step
     for _ in range(cfg.refine_rounds):
         lo_r = max(0.0, x - width)
         hi_r = min(hi, x + width)
         width /= 10.0
-        x2, f2 = _scan(f, bounds, *_grid(lo_r, hi_r, width))
+        x2, f2 = _scan(*line, *_grid(lo_r, hi_r, width))
         if f2 > fx:
             x, fx = x2, f2
     return x, fx
 
 
-def _maximize_over(s: Scenario, table, axis: int, fixed: float, cfg: AscentConfig):
-    """Best value of coordinate ``axis`` (0: tau1, 1: tau2) in [0, 1 - fixed]
-    with the other coordinate held at ``fixed``, and the attained throughput.
-    The line's kernel and bounds are built once and serve every scan of the
-    maximisation; ``table`` is ``_table_bounds(s)``."""
-    if not 0.0 <= fixed <= 1.0:
-        raise ValueError(f"{('tau2', 'tau1')[axis]} must lie in [0, 1]")
-    bounds = _line_bounds(table, axis, fixed)
-    return _maximize_1d(_line(s, axis, fixed), bounds, 1.0 - fixed, cfg)
-
-
-def _alternating_sweep(s: Scenario, table, cfg: AscentConfig, low_first: bool) -> OptimizationResult:
+def _alternating_sweep(s: Scenario, cfg: AscentConfig, low_first: bool) -> OptimizationResult:
     """One alternating maximisation run.
 
     From (0, 0), ``low_first`` maximises tau2 first (the reference order);
@@ -311,7 +228,7 @@ def _alternating_sweep(s: Scenario, table, cfg: AscentConfig, low_first: bool) -
     while outer < cfg.max_outer_iterations and not converged:
         outer += 1
         for axis in axes:
-            cand, th = _maximize_over(s, table, axis, tau[1 - axis], cfg)
+            cand, th = _maximize_over(s, axis, tau[1 - axis], cfg)
             if th - best > cfg.epsilon:
                 tau[axis] = cand
                 best = th
@@ -330,10 +247,9 @@ def coordinate_ascent(s: Scenario, cfg: AscentConfig | None = None) -> Optimizat
     with the higher throughput (the reference sweep wins ties).
     """
     cfg = cfg or AscentConfig()
-    table = _table_bounds(s)
-    result = _alternating_sweep(s, table, cfg, low_first=True)
+    result = _alternating_sweep(s, cfg, low_first=True)
     if cfg.dual_start:
-        mirrored = _alternating_sweep(s, table, cfg, low_first=False)
+        mirrored = _alternating_sweep(s, cfg, low_first=False)
         if mirrored.th_star > result.th_star:
             result = mirrored
     return result
@@ -360,14 +276,12 @@ def grid_search_oracle(s: Scenario, step: float) -> OptimizationResult:
     lexicographically smallest point.
     """
     _check_oracle_step(step)
-    table = _table_bounds(s)
     best_th = -1.0
     best = (0.0, 0.0)
     i = 0
     while (tau1 := i * step) <= 1.0:
         total = _prefix(0.0, step, lambda x: tau1 + x <= 1.0, 1.0 - tau1)
-        bounds = _line_bounds(table, 1, tau1)
-        tau2, th = _scan(_line(s, 1, tau1), bounds, total, lambda k: k * step)
+        tau2, th = _scan(*_scan_line(s, 1, tau1), total, lambda k: k * step)
         if th > best_th:
             best_th, best = th, (tau1, tau2)
         i += 1

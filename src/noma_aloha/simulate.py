@@ -137,6 +137,22 @@ def _decode_drawn(s: Scenario, pairs):
     return high, low, rate
 
 
+def _sorted_tally(n1, n2, hi1, hi2):
+    """The drawn pairs sorted by n1, then n2, each slot's pair id and each
+    pair's slot count, by sorting keys counted from the chunk's minima, or
+    the (n1, n2) rows where those keys overflow int64; hi1, hi2 = maxima."""
+    lo1, lo2 = int(n1.min()), int(n2.min())
+    width = hi2 - lo2 + 1
+    if (hi1 - lo1 + 1) * width >= 2**63:
+        rows, pos, freq = np.unique(
+            np.stack((n1, n2), axis=1), return_inverse=True, return_counts=True, axis=0
+        )
+        return [tuple(row) for row in rows.tolist()], pos.reshape(-1), freq
+    keys = (n1 - lo1) * width + (n2 - lo2)
+    seen, pos, freq = np.unique(keys, return_inverse=True, return_counts=True)
+    return [(lo1 + k // width, lo2 + k % width) for k in seen.tolist()], pos, freq
+
+
 def _trace_suffix(n1: int, n2: int, high: bool, low: bool, rate: float) -> bytes:
     """The "n1,n2,high_decoded,low_decoded,sum_rate" tail of a trace row."""
     high = "true" if high else "false"
@@ -244,23 +260,22 @@ def run_simulation(
                 n2 = low_rng.binomial(others - n1, q)
                 n1 += tag_high
                 n2 += tag_low
-                # one key per slot, wide enough for this chunk's largest n2;
-                # keys grow with m and tau, so a count table indexed by key
-                # is used only while it is no longer than the chunk
-                width = int(n2.max()) + 1
-                keys = n1 * width + n2
-                top = int(keys.max())
-                if top < n:
+                # one key per slot, n1 * width + n2, which sorts as the pairs
+                # do; keys grow with m and tau, so a count table indexed by
+                # key is used only while all (hi1 + 1) * width keys, counted
+                # in Python ints, fit the chunk
+                hi1, hi2 = int(n1.max()), int(n2.max())
+                width = hi2 + 1
+                if (hi1 + 1) * width <= n:
+                    keys = n1 * width + n2
                     freq = np.bincount(keys)
                     seen = np.flatnonzero(freq)
+                    # a pair's id is the number of drawn keys below its own
+                    pos = (np.cumsum(freq > 0, dtype=np.int32) - 1)[keys]
                     freq = freq[seen]
-                    pair_id = np.empty(top + 1, np.int32)
-                    pair_id[seen] = np.arange(len(seen), dtype=np.int32)
-                    pos = pair_id[keys]
+                    pairs = [divmod(k, width) for k in seen.tolist()]
                 else:
-                    seen, pos, freq = np.unique(keys, return_inverse=True, return_counts=True)
-                # seen is sorted, so the pairs are sorted by n1, then n2
-                pairs = [divmod(k, width) for k in seen.tolist()]
+                    pairs, pos, freq = _sorted_tally(n1, n2, hi1, hi2)
                 high, low, rate = _decode_drawn(s, pairs)
                 slot_high = high.take(pos)
                 slot_low = low.take(pos)

@@ -77,7 +77,8 @@ def table_rates(s):
     """The model's conditional layer rates, keyed by (n1, n2, layer) with
     layer "high" or "low", read from the rate column of its summation table
     (the high region's columns come first)."""
-    counts, _, rate, _ = model._terms(s)
+    table = model._terms(s)
+    counts, rate = table.counts, table.rate
     b = model.region_bounds(s)
     high = sum(cap + 1 for cap in b.low_max_given_high)
     layers = ["high"] * high + ["low"] * (rate.size - high)
@@ -91,7 +92,7 @@ def reference_evaluate(s, prof):
     """Throughput and success probability of one profile by the scalar
     formula the batched kernel replaced: the profile's trinomial log masses
     over the cached table, with 0 * log(0) = 0, and one np.sum per total."""
-    counts, log_coef, rate, decoded_users = model._terms(s)
+    counts, log_coef, rate, decoded_users = model._terms(s)[:4]
     log_p = log_coef
     idle = max(0.0, (1.0 - prof.tau1) - prof.tau2)
     for n, t in zip(counts, (prof.tau1, prof.tau2, idle)):

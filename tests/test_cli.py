@@ -282,6 +282,16 @@ class TestSimulate:
         assert float(row["th_sim"]) == 0.0
         assert float(row["p_delta_over_stderr"]) == 0.0
 
+    def test_population_past_int64_pair_keys(self, capsys):
+        # n1 * (max n2 + 1) + n2 overflows int64 at this m
+        code, out, _ = run_cli(
+            ["simulate", "--m", "10000000000", "--tau1", "0.5", "--tau2", "0.3",
+             "--slots", "1000", "--replications", "2"],
+            capsys,
+        )
+        assert code == 0
+        assert parse_csv(out)[0]["m"] == "10000000000"
+
     def test_deterministic_single_user(self, capsys):
         code, out, _ = run_cli(
             ["simulate", "--m", "1", "--tau1", "1", "--tau2", "0", "--slots", "2000",

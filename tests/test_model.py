@@ -363,7 +363,7 @@ class TestLeftSum:
 
 def assert_log_coefs_are_lgamma_differences(s):
     # log(m! / (n1! n2! idle!)) per column, subtracted left to right
-    counts, log_coef, _, _ = model._terms.__wrapped__(s)
+    counts, log_coef = model._terms.__wrapped__(s)[:2]
     expected = [
         ((math.lgamma(s.m + 1) - math.lgamma(n1 + 1)) - math.lgamma(n2 + 1)) - math.lgamma(idle + 1)
         for n1, n2, idle in counts.T.astype(int).tolist()
@@ -435,7 +435,7 @@ EDGE_FIXED = (0.0, 1.0, 1.0 - 1e-9, 1e-4, 7.5e-4)
 
 class TestEvaluationKernel:
     """The line kernel gives every profile the bits of the scalar formula
-    it replaced, whatever the line, its length and its blocking."""
+    it replaced, whatever the line, its length and its pieces."""
 
     @staticmethod
     def line(s, axis, fixed, xs):
@@ -460,7 +460,7 @@ class TestEvaluationKernel:
     @staticmethod
     def check_fixed(s, axis, fixed, others):
         """One line, axis 0 varying tau1 and axis 1 varying tau2, against the
-        scalar formula and the one-point calls, whole and in blocks."""
+        scalar formula and the one-point calls, whole and in pieces."""
         others = [x for x in others if fixed + x <= 1.0]
         if not others:
             return
@@ -471,11 +471,13 @@ class TestEvaluationKernel:
         assert list(zip(th.tolist(), (users / s.m).tolist())) == expected
         assert th.tolist() == [average_throughput(s, prof) for prof in profs]
         assert (users / s.m).tolist() == [success_probability(s, prof) for prof in profs]
-        # blocks of one profile, and blocks that split the line unevenly
-        for block in (1, 3 * len(model._terms(s)[2]) + 1):
-            with mock.patch.object(model, "_BLOCK_ELEMENTS", block):
-                got = TestEvaluationKernel.line(s, axis, fixed, xs)
-                assert [a.tolist() for a in got] == [th.tolist(), users.tolist()]
+        # the line in pieces of one profile, and in pieces of 1, 2, 3, ...
+        # profiles, which split it unevenly
+        uneven = np.cumsum(np.arange(1, xs.size))
+        for cuts in (np.arange(1, xs.size), uneven[uneven < xs.size]):
+            parts = [TestEvaluationKernel.line(s, axis, fixed, p) for p in np.split(xs, cuts)]
+            got = [np.concatenate(a).tolist() for a in zip(*parts)]
+            assert got == [th.tolist(), users.tolist()]
 
     @given(st.integers(0, 2**32 - 1), st.lists(edge_profiles(), min_size=1, max_size=30))
     @settings(max_examples=60, deadline=None)

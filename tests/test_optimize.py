@@ -31,16 +31,18 @@ def dense_scan_argmax(f, lo, hi, step):
     return best_x, best_f
 
 
-def maximize_over(s, axis, fixed, cfg):
-    return optimize._maximize_over(s, optimize._table_bounds(s), axis, fixed, cfg)
+maximize_over = optimize._maximize_over
+line_bounds = model._line_bounds
 
 
-def line_bounds(s, axis, fixed):
-    return optimize._line_bounds(optimize._table_bounds(s), axis, fixed)
+def scan(f, bounds, budget, lo, hi, step):
+    return optimize._scan(f, bounds, budget, *optimize._grid(lo, hi, step))
 
 
-def scan(f, bounds, lo, hi, step):
-    return optimize._scan(f, bounds, *optimize._grid(lo, hi, step))
+def with_budget(budget):
+    """Hand every line of the ascent and the oracle the element ``budget``."""
+    real = optimize._scan_line
+    return mock.patch.object(optimize, "_scan_line", lambda *line: (*real(*line)[:2], budget))
 
 
 def exhaustive_scan(f, total, points):
@@ -169,7 +171,7 @@ class TestBatchedScan:
     @pytest.mark.parametrize("lo, hi, step", CASES)
     @pytest.mark.parametrize("s", [DEFAULTS, SINGLE, EMPTY, Scenario(50, 20.0, 2.0, 0.3)])
     def test_matches_reference_loop(self, s, lo, hi, step):
-        got = scan(model._line(s, 1, 0.0), line_bounds(s, 1, 0.0), lo, hi, step)
+        got = scan(*model._scan_line(s, 1, 0.0), lo, hi, step)
         want = reference_scan(
             lambda x: average_throughput(s, PowerProfile(0.0, x)), lo, hi, step
         )
@@ -179,12 +181,10 @@ class TestBatchedScan:
     @pytest.mark.parametrize("piece", [1, 2, 4, 5])
     def test_ties_keep_first_sample_across_pieces(self, lo, hi, step, piece):
         # a staircase with long runs of equal values, bounded in runs of 2;
-        # pieces of 4 end exactly on the last sample below hi in the
+        # pieces of two runs end exactly on the last sample below hi in the
         # (0, 0.5, 0.125) case
-        with mock.patch.object(optimize, "_SCAN_PIECE", piece), mock.patch.object(
-            optimize, "_INTERVAL", 2
-        ):
-            got = scan(staircase, staircase_bounds, lo, hi, step)
+        with mock.patch.object(optimize, "_INTERVAL", 2):
+            got = scan(staircase, staircase_bounds, piece, lo, hi, step)
         assert got == reference_scan(lambda x: float(math.floor(x * 3.0)), lo, hi, step)
 
     @pytest.mark.parametrize("lo, hi, step", CASES[1:])
@@ -194,8 +194,22 @@ class TestBatchedScan:
             raise AssertionError("a scan of one run was bounded")
 
         assert optimize._grid(lo, hi, step)[0] <= optimize._INTERVAL
-        f = model._line(DEFAULTS, 1, 0.0)
-        assert scan(f, bounds, lo, hi, step) == exhaustive_scan(f, *optimize._grid(lo, hi, step))
+        f, _, budget = model._scan_line(DEFAULTS, 1, 0.0)
+        got = scan(f, bounds, budget, lo, hi, step)
+        assert got == exhaustive_scan(f, *optimize._grid(lo, hi, step))
+
+    def test_pieces_of_one_run_are_bounded_after_the_first(self):
+        # at a budget of one run a piece, the first run is evaluated without
+        # a bound and each of the 31 after it is bounded
+        runs = []
+
+        def bounds(lo, hi):
+            runs.append(lo.size)
+            return staircase_bounds(lo, hi)
+
+        got = scan(staircase, bounds, 1, 0.0, 1.0, 1e-3)
+        assert got == reference_scan(lambda x: float(math.floor(x * 3.0)), 0.0, 1.0, 1e-3)
+        assert runs == [1] * 31
 
 
 class TestGridScan:
@@ -219,7 +233,7 @@ class TestGridScan:
     @pytest.mark.parametrize("s", [DEFAULTS, EMPTY, Scenario(50, 20.0, 2.0, 0.3)])
     def test_matches_reference_loop(self, s, axis, hi, step):
         fixed = 1.0 - hi
-        got = scan(self.kernel(s, axis, fixed), line_bounds(s, axis, fixed), 0.0, hi, step)
+        got = scan(*model._scan_line(s, axis, fixed), 0.0, hi, step)
         profile = (lambda x: PowerProfile(x, fixed)) if axis == 0 else (lambda x: PowerProfile(fixed, x))
         want = reference_scan(lambda x: average_throughput(s, profile(x)), 0.0, hi, step)
         assert got == want
@@ -227,7 +241,7 @@ class TestGridScan:
     @pytest.mark.parametrize("piece", [1, 7, 64])
     def test_scan_longer_than_the_grid(self, piece):
         # under bounds that rule nothing out, the kernel evaluates all 991
-        # samples, a run of 32 or a piece, whichever is smaller, at a time
+        # samples, at most a budget of them a call
         s = Scenario(50, 20.0, 2.0, 0.3)
         want = reference_scan(
             lambda x: average_throughput(s, PowerProfile(0.01, x)), 0.0, 0.99, 1e-3
@@ -238,13 +252,12 @@ class TestGridScan:
             sizes.append(xs.size)
             return self.kernel(s, 1, 0.01)(xs)
 
-        with mock.patch.object(optimize, "_SCAN_PIECE", piece):
-            got = scan(kernel, never_prune, 0.0, 0.99, 1e-3)
+        got = scan(kernel, never_prune, piece, 0.0, 0.99, 1e-3)
         assert got == want
-        assert sum(sizes) == 991 and max(sizes) == min(piece, optimize._INTERVAL)
+        assert sum(sizes) == 991 and max(sizes) == piece
 
     def test_memory_stays_bounded_on_a_fine_step(self):
-        # 500 001 coarse points, scanned in pieces of at most _SCAN_PIECE
+        # 500 001 coarse points, scanned a piece of the line's budget at a time
         tracemalloc.start()
         try:
             tau2, th = maximize_over(DEFAULTS, 1, 0.0, AscentConfig(grid_step=2e-6))
@@ -310,13 +323,14 @@ class TestPrunedScan:
         FIXED,
         st.sampled_from([1e-3, 0.0137, 0.25]),
         st.sampled_from([1, 5, 32]),
-        st.sampled_from([7, 64, optimize._SCAN_PIECE]),
+        # an element budget, or None for the line's own
+        st.sampled_from([1, 7, 64, None]),
         st.sampled_from(["coarse", "bracket", "row"]),
         st.floats(0.0, 1.0, exclude_min=True),
     )
     @settings(max_examples=300, deadline=None)
     # the run with the largest bound does not hold the maximum
-    @example(Scenario(50, 20.0, 2.0, 0.3), 1, 0.055, 1e-3, 5, optimize._SCAN_PIECE, "coarse", 0.5)
+    @example(Scenario(50, 20.0, 2.0, 0.3), 1, 0.055, 1e-3, 5, None, "coarse", 0.5)
     @example(DEFAULTS, 0, 0.753, 1e-3, 5, 64, "coarse", 0.5)
     # scans of many pieces
     @example(Scenario(50, 20.0, 2.0, 0.3), 1, 0.05, 1e-3, 5, 64, "row", 0.5)
@@ -325,11 +339,9 @@ class TestPrunedScan:
         self, s, axis, fixed, step, interval, piece, kind, where
     ):
         axis, total, points = self.samples(kind, axis, fixed, step, where)
-        f = TestGridScan.kernel(s, axis, fixed)
-        with mock.patch.object(optimize, "_SCAN_PIECE", piece), mock.patch.object(
-            optimize, "_INTERVAL", interval
-        ):
-            got = optimize._scan(f, line_bounds(s, axis, fixed), total, points)
+        f, bounds, budget = model._scan_line(s, axis, fixed)
+        with mock.patch.object(optimize, "_INTERVAL", interval):
+            got = optimize._scan(f, bounds, piece or budget, total, points)
         xs = points(np.arange(total))
         values = f(xs)
         assert [v.hex() for v in got] == [v.hex() for v in exhaustive_scan(f, total, points)]
@@ -362,7 +374,8 @@ class TestPrunedScan:
         assert np.all(bounds >= values)
         assert bounds[values == 0.0].tolist() == [0.0] * int(np.sum(values == 0.0))
 
-    @pytest.mark.parametrize("piece", [7, 64, optimize._SCAN_PIECE])
+    # budgets of one run a piece, of several pieces and of one piece
+    @pytest.mark.parametrize("piece", [1, 7, 64, 1 << 16])
     def test_ties_keep_the_first_sample(self, piece):
         # a plateau from x = 1/3 on, under bounds that grow along the scan:
         # the run evaluated first is the last one, and the plateau's first
@@ -373,22 +386,21 @@ class TestPrunedScan:
         def bounds(lo, hi):
             return f(hi) + hi
 
-        with mock.patch.object(optimize, "_SCAN_PIECE", piece):
-            got = scan(f, bounds, 0.0, 1.0, 1e-3)
+        got = scan(f, bounds, piece, 0.0, 1.0, 1e-3)
         want = reference_scan(lambda x: min(math.floor(x * 3.0), 1.0), 0.0, 1.0, 1e-3)
         assert got == exhaustive_scan(f, *optimize._grid(0.0, 1.0, 1e-3)) == want
         assert got[0] == 334 * 1e-3
 
     def test_skips_most_of_the_coarse_scan(self):
         s = Scenario(50, 20.0, 2.0, 0.3)
-        kernel = TestGridScan.kernel(s, 1, 0.05)
+        kernel, bounds, budget = model._scan_line(s, 1, 0.05)
         evaluated = []
 
         def f(xs):
             evaluated.append(xs.size)
             return kernel(xs)
 
-        got = scan(f, line_bounds(s, 1, 0.05), 0.0, 0.95, 1e-3)
+        got = scan(f, bounds, budget, 0.0, 0.95, 1e-3)
         assert got == exhaustive_scan(kernel, *optimize._grid(0.0, 0.95, 1e-3))
         # of 951 samples
         assert sum(evaluated) < 200, evaluated
@@ -405,10 +417,66 @@ class TestPrunedScan:
             return kernel(xs)
 
         # 951 samples in pieces of two runs of 32
-        with mock.patch.object(optimize, "_SCAN_PIECE", 64):
-            got = optimize._scan(f, line_bounds(s, 1, 0.05), total, points)
+        got = optimize._scan(f, line_bounds(s, 1, 0.05), 2, total, points)
         assert got == exhaustive_scan(kernel, total, points)
         assert sum(evaluated) < 200, evaluated
+
+
+class TestElementBudget:
+    """Every kernel call evaluates at most the line's element budget of
+    points, max(1, 2**14 // T), and every bounds call bounds at most as many
+    runs."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        """Record (kind, size, budget) of every kernel and bounds call."""
+        calls = []
+        real = optimize._scan_line
+
+        def scan_line(s, axis, fixed):
+            f, bounds, budget = real(s, axis, fixed)
+
+            def spied_f(xs):
+                calls.append(("points", xs.size, budget))
+                return f(xs)
+
+            def spied_bounds(lo, hi):
+                calls.append(("runs", lo.size, budget))
+                return bounds(lo, hi)
+
+            return spied_f, spied_bounds, budget
+
+        monkeypatch.setattr(optimize, "_scan_line", scan_line)
+        return calls
+
+    @staticmethod
+    def check(calls, s):
+        budget = max(1, 2**14 // model._terms(s).log_coef.size)
+        assert {kind for kind, _, _ in calls} == {"points", "runs"}
+        assert {b for _, _, b in calls} == {budget}
+        assert all(0 < size <= budget for _, size, _ in calls), max(c[1] for c in calls)
+
+    def test_default_ascent_at_the_widest_sweep_table(self, monkeypatch):
+        s = Scenario(50, 20.0, 2.0, 0.171)
+        assert model._terms(s).log_coef.size == 232
+        calls = self.spy(monkeypatch)
+        coordinate_ascent(s)
+        self.check(calls, s)
+
+    def test_fine_coarse_scan_at_the_defaults(self, monkeypatch):
+        # 1 000 001 samples in 31 251 runs, bounded 4096 runs a call
+        s = Scenario(10, 4.0, 1.5, 1.5)
+        calls = self.spy(monkeypatch)
+        maximize_over(s, 1, 0.0, AscentConfig(grid_step=1e-6, refine_rounds=0))
+        self.check(calls, s)
+        runs = [size for kind, size, _ in calls if kind == "runs"]
+        assert runs == [4096] * 7 + [31_251 - 7 * 4096]
+
+    def test_oracle_on_a_fine_grid(self, monkeypatch):
+        s = Scenario(50, 20.0, 2.0, 0.3)
+        calls = self.spy(monkeypatch)
+        grid_search_oracle(s, 0.002)
+        self.check(calls, s)
 
 
 # float.hex of (tau1_star, tau2_star, th_star), then outer_iterations and
@@ -599,7 +667,7 @@ class TestGridSearchOracle:
 
     @pytest.mark.parametrize("piece", [1, 7])
     def test_rows_split_into_pieces_match_reference(self, piece):
-        with mock.patch.object(optimize, "_SCAN_PIECE", piece):
+        with with_budget(piece):
             res = grid_search_oracle(DEFAULTS, 0.05)
         assert (res.tau1_star, res.tau2_star, res.th_star) == reference_oracle(DEFAULTS, 0.05)
 

@@ -613,3 +613,19 @@ class TestPairTally:
             assert peak < 8 * 2**20, (trace_path, peak)
             assert stats.pair_counts.total() == cfg.slots
         assert calls == {"unique": 2}
+
+    @pytest.mark.parametrize("m", [2 * 10**10, 4 * 10**18])
+    def test_huge_populations_tally_the_pairs_they_draw(self, m, monkeypatch):
+        # n1 * width + n2 overflows int64 at both m; keys from the chunk's
+        # minima fit at 2e10, and at 4e18 only the (n1, n2) rows are sorted
+        prof = PowerProfile(0.5, 0.3)
+        cfg = SimConfig(slots=1_000, seed=3, replications=2)
+        calls = spy_tallies(monkeypatch, refuse=("bincount",))
+        stats = run_simulation(Scenario(m, 4.0, 1.5, 1.5), prof, cfg)
+        assert calls == {"unique": 2}
+        want = Counter()
+        for rep in range(cfg.replications):
+            _, _, n1, n2 = draw_slots(replication_streams(cfg.seed, rep), prof, m, cfg.slots)
+            want.update(zip(n1.tolist(), n2.tolist()))
+        assert stats.pair_counts == want
+        assert min(n1 for n1, _ in want) > 0.49 * m
