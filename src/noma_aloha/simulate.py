@@ -137,22 +137,6 @@ def _decode_drawn(s: Scenario, pairs):
     return high, low, rate
 
 
-def _sorted_tally(n1, n2, hi1, hi2):
-    """The drawn pairs sorted by n1, then n2, each slot's pair id and each
-    pair's slot count, by sorting keys counted from the chunk's minima, or
-    the (n1, n2) rows where those keys overflow int64; hi1, hi2 = maxima."""
-    lo1, lo2 = int(n1.min()), int(n2.min())
-    width = hi2 - lo2 + 1
-    if (hi1 - lo1 + 1) * width >= 2**63:
-        rows, pos, freq = np.unique(
-            np.stack((n1, n2), axis=1), return_inverse=True, return_counts=True, axis=0
-        )
-        return [tuple(row) for row in rows.tolist()], pos.reshape(-1), freq
-    keys = (n1 - lo1) * width + (n2 - lo2)
-    seen, pos, freq = np.unique(keys, return_inverse=True, return_counts=True)
-    return [(lo1 + k // width, lo2 + k % width) for k in seen.tolist()], pos, freq
-
-
 def _trace_suffix(n1: int, n2: int, high: bool, low: bool, rate: float) -> bytes:
     """The "n1,n2,high_decoded,low_decoded,sum_rate" tail of a trace row."""
     high = "true" if high else "false"
@@ -262,11 +246,10 @@ def run_simulation(
                 n2 += tag_low
                 # one key per slot, n1 * width + n2, which sorts as the pairs
                 # do; keys grow with m and tau, so a count table indexed by
-                # key is used only while all (hi1 + 1) * width keys, counted
-                # in Python ints, fit the chunk
-                hi1, hi2 = int(n1.max()), int(n2.max())
-                width = hi2 + 1
-                if (hi1 + 1) * width <= n:
+                # key is used only while all (max n1 + 1) * width keys,
+                # counted in Python ints, fit the chunk
+                width = int(n2.max()) + 1
+                if (int(n1.max()) + 1) * width <= n:
                     keys = n1 * width + n2
                     freq = np.bincount(keys)
                     seen = np.flatnonzero(freq)
@@ -275,7 +258,13 @@ def run_simulation(
                     freq = freq[seen]
                     pairs = [divmod(k, width) for k in seen.tolist()]
                 else:
-                    pairs, pos, freq = _sorted_tally(n1, n2, hi1, hi2)
+                    # else the sorted (n1, n2) rows, which no key can overflow
+                    rows, pos, freq = np.unique(
+                        np.stack((n1, n2), axis=1),
+                        axis=0, return_inverse=True, return_counts=True,
+                    )
+                    pairs = [tuple(row) for row in rows.tolist()]
+                    pos = pos.reshape(-1)
                 high, low, rate = _decode_drawn(s, pairs)
                 slot_high = high.take(pos)
                 slot_low = low.take(pos)

@@ -587,6 +587,26 @@ class TestCachesAndImports:
         code = "import sys, noma_aloha.cli; print([m for m in sys.modules if m.startswith('scipy')])"
         assert self.run_python(code) == "[]\n"
 
+    def test_commands_load_no_scipy(self, tmp_path):
+        # the test extra installs scipy, so only a check like this one sees a
+        # stray runtime import of it: every command runs in one process
+        out, trace = tmp_path / "out.csv", tmp_path / "trace.csv"
+        commands = [
+            ["region"],
+            ["analyze", "--tau1", "0.1", "--tau2", "0.1"],
+            ["optimize", "--oracle", "--baseline"],
+            ["simulate", "--tau1", "0.1", "--tau2", "0.1", "--slots", "1000",
+             "--trace-file", str(trace)],
+            ["sweep", "--axis", "m", "--start", "2", "--stop", "6", "--step", "2",
+             "--tau1", "0.1", "--tau2", "0.1", "--simulate", "--slots", "1000", "--optimize"],
+        ]
+        code = (
+            "import sys; from noma_aloha.cli import main\n"
+            f"codes = [main([*argv, '--output', {str(out)!r}]) for argv in {commands!r}]\n"
+            "print(codes, [m for m in sys.modules if m.startswith('scipy')])"
+        )
+        assert self.run_python(code) == f"{[0] * len(commands)} []\n"
+
     def test_cli_import_loads_no_numpy_random(self):
         # numpy.random takes about 13 ms to import: the simulate commands pay
         # it inside main(), and no command pays it at start-up, unless

@@ -616,8 +616,8 @@ class TestPairTally:
 
     @pytest.mark.parametrize("m", [2 * 10**10, 4 * 10**18])
     def test_huge_populations_tally_the_pairs_they_draw(self, m, monkeypatch):
-        # n1 * width + n2 overflows int64 at both m; keys from the chunk's
-        # minima fit at 2e10, and at 4e18 only the (n1, n2) rows are sorted
+        # n1 * width + n2 overflows int64 at both m, so the (n1, n2) rows
+        # are sorted instead
         prof = PowerProfile(0.5, 0.3)
         cfg = SimConfig(slots=1_000, seed=3, replications=2)
         calls = spy_tallies(monkeypatch, refuse=("bincount",))
