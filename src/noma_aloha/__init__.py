@@ -14,12 +14,7 @@ from .model import (
     sinr_low,
     success_probability,
 )
-from .optimize import (
-    AscentConfig,
-    OptimizationResult,
-    coordinate_ascent,
-    grid_search_oracle,
-)
+from .optimize import AscentConfig, OptimizationResult, coordinate_ascent
 from .simulate import (
     SimConfig,
     SimStats,
@@ -44,7 +39,6 @@ __all__ = [
     "AscentConfig",
     "OptimizationResult",
     "coordinate_ascent",
-    "grid_search_oracle",
     "SimConfig",
     "SimStats",
     "sic_decode",

@@ -33,12 +33,7 @@ from .model import (
     region_bounds,
     success_probability,
 )
-from .optimize import (
-    AscentConfig,
-    _check_oracle_step,
-    coordinate_ascent,
-    grid_search_oracle,
-)
+from .optimize import AscentConfig, _certify, coordinate_ascent
 from .simulate import SimConfig, run_simulation
 
 __all__ = ["main", "ExperimentConfig", "ConfigError"]
@@ -46,7 +41,7 @@ __all__ = ["main", "ExperimentConfig", "ConfigError"]
 SWEEP_AXES = ("m", "tau1", "tau2", "gamma", "v1", "v2", "p_baseline")
 # the most rows a command builds: a sweep's points, or the region's pairs
 MAX_SWEEP_POINTS = 1_000_000
-_ORACLE_STEP = 0.01
+MAX_TABLE_TERMS = 1_000_000  # terms of a model table: about 300 MiB at its build's peak
 
 
 class ConfigError(Exception):
@@ -167,7 +162,14 @@ def _checked(build, **kwargs):
 
 
 def _scenario(cfg: ExperimentConfig) -> Scenario:
-    return _checked(Scenario, m=cfg.m, v1=cfg.v1, v2=cfg.v2, gamma=cfg.gamma)
+    s = _checked(Scenario, m=cfg.m, v1=cfg.v1, v2=cfg.v2, gamma=cfg.gamma)
+    terms = s.m * (s.m + 1)  # at most a term per pair of each layer's region
+    if terms > MAX_TABLE_TERMS:  # count them from the caps
+        b = region_bounds(s)
+        terms = sum(b.low_max_given_high + b.high_max_given_low, b.high_max + b.low_max)
+    if terms > MAX_TABLE_TERMS:
+        raise ConfigError(f"model table has {terms} terms, more than {MAX_TABLE_TERMS}")
+    return s
 
 
 def _profile(cfg: ExperimentConfig) -> PowerProfile:
@@ -231,7 +233,7 @@ def _emit(rows: list[dict], cfg: ExperimentConfig):
 
 def cmd_region(args) -> int:
     cfg = build_config(args)
-    s = _scenario(cfg)
+    s = _checked(Scenario, m=cfg.m, v1=cfg.v1, v2=cfg.v2, gamma=cfg.gamma)  # no model table
     # one row per pair n1 + n2 <= m; at m = 1e5 that is about 5e9 rows
     if (s.m + 1) * (s.m + 2) // 2 > MAX_SWEEP_POINTS:
         raise ConfigError(f"region table has more than {MAX_SWEEP_POINTS} rows")
@@ -270,11 +272,6 @@ def cmd_optimize(args) -> int:
     acfg = _checked(AscentConfig, **_given(args, AscentConfig))
     if args.trace and (args.oracle or args.baseline):
         raise ConfigError("--trace emits only the ascent trace; drop --oracle and --baseline")
-    if args.oracle_step is not None and not args.oracle:
-        raise ConfigError("--oracle-step needs --oracle")
-    oracle_step = _ORACLE_STEP if args.oracle_step is None else args.oracle_step
-    if args.oracle:
-        _checked(_check_oracle_step, step=oracle_step)
     res = coordinate_ascent(s, acfg)
     _say(
         f"tau1*={_fmt6(res.tau1_star)} tau2*={_fmt6(res.tau2_star)} "
@@ -297,14 +294,9 @@ def cmd_optimize(args) -> int:
         "converged": res.converged,
     }
     if args.oracle:
-        oracle = grid_search_oracle(s, oracle_step)
-        row["oracle_tau1"] = oracle.tau1_star
-        row["oracle_tau2"] = oracle.tau2_star
-        row["oracle_th"] = oracle.th_star
-        _say(
-            f"oracle (step {_fmt6(oracle_step)}): tau1={_fmt6(oracle.tau1_star)} "
-            f"tau2={_fmt6(oracle.tau2_star)} th={_fmt6(oracle.th_star)}"
-        )
+        tau1, tau2, th, bound = _certify(s)
+        row.update(oracle_tau1=tau1, oracle_tau2=tau2, oracle_th=th, oracle_bound=bound)
+        _say(f"oracle tau1={_fmt6(tau1)} tau2={_fmt6(tau2)} th={_fmt6(th)} bound={_fmt6(bound)}")
     if args.baseline:
         p_star, th_star = baseline_optimum(s)
         row["baseline_p_star"] = p_star
@@ -496,10 +488,7 @@ def _add_ascent_args(p: argparse.ArgumentParser):
 
 
 def _add_optimize_args(p: argparse.ArgumentParser):
-    p.add_argument("--oracle", action="store_true", help="also run the grid oracle")
-    p.add_argument(
-        "--oracle-step", type=float, help=f"grid oracle step (default {_ORACLE_STEP})"
-    )
+    p.add_argument("--oracle", action="store_true", help="also certify the optimum")
     p.add_argument(
         "--baseline", action="store_true", help="also print the single-power optimum"
     )

@@ -13,14 +13,14 @@ efficiencies, log2(1 + SINR) bits per slot per unit bandwidth.
 Everything here is a pure function of its arguments.  One summation table
 per scenario is cached (the last eight scenarios), and one kernel evaluates
 it on a line of the simplex: one coordinate varies over a batch of points
-and the other is fixed.  The optimizer's scans and the grid oracle's rows
-are lines, and a single profile is a line of one point.  The fixed
+and the other is fixed.  The optimizer's scans are lines, and a single
+profile is a line of one point.  The fixed
 coordinate enters the kernel as one row computed once per line, and the
 kernel reduces only the weight column its caller reads.  A scan takes a
 line with closed-form upper bounds on runs of its points, whose per-scenario
 constants the table holds too, and one element budget: at most
 max(1, 2**14 // T) points per kernel call and runs per bounds call, T the
-table's size.
+table's size.  Boxes of the simplex are bounded a budget a call.
 """
 
 import bisect
@@ -324,6 +324,22 @@ def _log0(t):
     return np.log(t, out=np.full(t.shape, _LOG_ZERO), where=t > 0.0)
 
 
+def _clipped(table: _Table, axis: int, head, lo, hi, room, open_):
+    """_line_bounds' exponents on [lo, hi]: scalars, or columns of one per box."""
+    peak = table.counts[axis] * room / table.spread[axis]
+    log_peak, idle_peak = _log0(np.concatenate((peak, room - peak))).reshape(2, *peak.shape)
+    ends = (lo, hi, room - hi, (room - lo) * open_)
+    log_lo, log_hi, idle_hi, idle_lo = _log0(np.concatenate(ends)).reshape(4, -1, 1)
+    g = np.minimum(np.maximum(log_peak, log_lo), log_hi)
+    g *= table.scaled[axis]
+    g += head
+    # idle falls as x rises, so its log at hi is the low end of its clip
+    log_idle = np.minimum(np.maximum(idle_peak, idle_hi), idle_lo)
+    log_idle *= table.scaled[2]
+    g += log_idle
+    return g
+
+
 def _line_bounds(s: Scenario, axis: int, fixed: float):
     """Upper bounds on the kernel's throughput on runs of a line:
     coordinate ``axis`` runs over [lo, hi] and the other is at ``fixed``.
@@ -341,33 +357,54 @@ def _line_bounds(s: Scenario, axis: int, fixed: float):
     g <= L + m * 2**-50, ``g (1 - _REL_SLACK) + _REL_SLACK (4|L| + 2m) +
     _ABS_SLACK`` is at least that.  A zero probability counts as _LOG_ZERO,
     as in the kernel, so a term that vanishes there is exactly 0 here too.
-    The scaled counts, spreads and slacks come with the table; the peak and
-    the head are computed once per line.
+    The scaled counts, spreads and slacks come with the table; the head is
+    computed once per line.
     """
     table = _terms(s)
     room = (1.0 - fixed) + 2.0**-50
-    peak = table.counts[axis] * room / table.spread[axis]
     head = (table.log_coef + _log(fixed) * table.counts[1 - axis]) * (1.0 - _REL_SLACK)
     head += table.slack
-    log_peak, idle_peak = _log0(np.concatenate((peak, room - peak))).reshape(2, -1)
-    a, c = table.scaled[axis], table.scaled[2]
 
     def bounds(lo, hi):
         # Where the kernel's idle probability is 0 at lo, it is 0 on the
         # whole run, and so is every term with idle users.
         idle_at_lo = (1.0 - lo) - fixed if axis == 0 else (1.0 - fixed) - lo
-        ends = (lo, hi, room - hi, (room - lo) * (idle_at_lo > 0.0))
-        # idle falls as x rises, so its log at hi is the low end of its clip
-        log_lo, log_hi, idle_hi, idle_lo = _log0(np.concatenate(ends)).reshape(4, -1, 1)
-        g = np.minimum(np.maximum(log_peak, log_lo), log_hi)
-        g *= a
-        g += head
-        log_idle = np.minimum(np.maximum(idle_peak, idle_hi), idle_lo)
-        log_idle *= c
-        g += log_idle
+        g = _clipped(table, axis, head, lo, hi, room, idle_at_lo > 0.0)
         return np.exp(g, out=g) @ table.rate
 
     return bounds
+
+
+def _box_bounds(s: Scenario, x0, x1, y0, y1):
+    """Bounds on the kernel's throughput on boxes [x0, x1] x [y0, y1] of
+    (tau1, tau2) in the simplex, and its value at their centres, rounded
+    otherwise (-inf off it).  First order: a term is at most y1**b times its
+    clipped peak along tau1 at tau2 = y0.  Tangent: a term's log mass lies
+    below its plane at the centre (idle u), raised by 2 _REL_SLACK times its
+    parts' size and c 2**-48 / u; a sum of exponentials of planes peaks at a
+    corner (used below 512, centre in the simplex).  No BLAS: order is fixed."""
+    table = _terms(s)
+    log_coef, (a, b, c), rate = table.log_coef, table.counts, table.rate
+    x0, x1, y0, y1 = (v[:, None] for v in (x0, x1, y0, y1))
+    head = (log_coef + _log0(y1) * b) * (1.0 - _REL_SLACK) + table.slack
+    g = _clipped(table, 0, head, x0, x1, (1.0 - y0) + 2.0**-50, (1.0 - x0) - y0 > 0.0)
+    first = np.add.reduce(np.exp(g, out=g) * rate, axis=1)
+    xc, yc = (x0 + x1) / 2.0, (y0 + y1) / 2.0
+    inside = (xc > 0.0) & (yc > 0.0) & ((1.0 - xc) - yc > 2.0**-500) & (xc + yc <= 1.0)
+    xc, yc, u = (np.where(inside, v, 1.0 / 3.0) for v in (xc, yc, (1.0 - xc) - yc))
+    hx, hy = np.maximum(x1 - xc, xc - x0), np.maximum(y1 - yc, yc - y0)
+    lx, ly, lu = np.log(xc), np.log(yc), np.log(u)
+    log_mass = log_coef + a * lx + b * ly + c * lu
+    # L >= 0 and every log <= 0, so |L| + a |lx| + b |ly| + c |lu| = 2 L - log_mass
+    size = 2.0 * log_coef - log_mass + a * (hx / xc) + b * (hy / yc) + c * ((hx + hy + 1 / 16) / u)
+    e = (log_mass + 2.0 * _REL_SLACK * size) * (1.0 - _REL_SLACK) + table.slack
+    sx, sy = a * (hx / xc) - c * (hx / u), b * (hy / yc) - c * (hy / u)
+    over = (e + np.abs(sx) + np.abs(sy)).max(axis=1, initial=-np.inf) > 512.0
+    e[over] = sx[over] = sy[over] = 0.0
+    corners = [np.exp(e + i * sx + j * sy) * rate for i in (1, -1) for j in (1, -1)]
+    plane = np.where(over | ~inside[:, 0], np.inf, np.add.reduce(corners, axis=2).max(axis=0))
+    score = np.where(inside[:, 0], np.add.reduce(np.exp(log_mass) * rate, axis=1), -np.inf)
+    return np.minimum(first, plane), score
 
 
 def _scan_line(s: Scenario, axis: int, fixed: float):

@@ -3,12 +3,12 @@
 The objective ``average_throughput(s, (tau1, tau2))`` is a polynomial mixture
 over the decodable count regions and can be multimodal, so the search is
 derivative-free: alternating 1-D maximisations (coarse grid scan plus bracket
-refinement) until the improvement drops below a tolerance.  An exhaustive
-simplex grid search doubles as a validation oracle.  Each 1-D maximisation
-and each row of the oracle is a line of the model's one evaluation kernel,
-built once and evaluated on batches of sample points, reducing only the
-throughput.  A scan's samples are indexed by k; a sample's float is formed
-from k, and only for the samples a scan evaluates or bounds.
+refinement) until the improvement drops below a tolerance; a branch and
+bound over boxes certifies the optimum.  Each 1-D maximisation is a line of
+the model's one evaluation kernel, built once and evaluated on batches of
+sample points, reducing only the throughput.  A scan's samples are indexed
+by k; a sample's float is formed from k, and only for the samples a scan
+evaluates or bounds.
 
 Every scan is pruned by the bounds the model hands out with each line: each
 term of the mixture is log-concave along the scanned axis, so the sum of
@@ -29,18 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Scenario, _scan_line
+from .model import PowerProfile, Scenario, _box_bounds, _scan_line, _terms, average_throughput
+from .model import _BLOCK_ELEMENTS
 
-# not called here any more: the benchmark's layer probe and traced runs patch
-# ``optimize.average_throughput`` by name, so the name stays importable
-from .model import average_throughput  # noqa: F401
-
-__all__ = [
-    "AscentConfig",
-    "OptimizationResult",
-    "coordinate_ascent",
-    "grid_search_oracle",
-]
+__all__ = ["AscentConfig", "OptimizationResult", "coordinate_ascent"]
 
 
 # The finest coarse step, 1e8 samples a scan: about 5 s of ascent at the defaults.
@@ -78,7 +70,7 @@ class AscentConfig:
             raise ValueError("max_outer_iterations must be at least 1")
         if self.refine_rounds < 0:
             raise ValueError("refine_rounds must be nonnegative")
-        # the finest width, divided as _maximize_1d does; stops at the first 0
+        # the finest width, divided as _maximize_over does; stops at the first 0
         width = self.grid_step
         for _ in range(self.refine_rounds):
             width /= 10.0
@@ -103,18 +95,6 @@ class OptimizationResult:
     trace: tuple[tuple[int, float, float, float], ...]
 
 
-def _prefix(lo, step, keep, end):
-    """Number of k >= 0 with keep(lo + k*step), which holds on a prefix of
-    the k, as lo + k*step never decreases in k.  ``end`` estimates where
-    keep first fails; the count is exact whatever the estimate."""
-    k = max(0, int((end - lo) / step))
-    while k and not keep(lo + (k - 1) * step):
-        k -= 1
-    while keep(lo + k * step):
-        k += 1
-    return k
-
-
 def _grid(lo, hi, step):
     """The samples of a scan of [lo, hi]: lo + k*step while below hi, then
     hi itself (lo alone when hi <= lo).  Returns their count and
@@ -124,7 +104,11 @@ def _grid(lo, hi, step):
     ``x = lo + k * step``, so the count is that loop's, and a sample's
     float does not depend on the indices it is formed with.
     """
-    n = _prefix(lo, step, lambda x: x < hi, hi)
+    n = max(0, int((hi - lo) / step))  # lo + n*step never decreases in n
+    while n and not lo + (n - 1) * step < hi:
+        n -= 1
+    while lo + n * step < hi:
+        n += 1
     last = max(lo, hi)
 
     def points(k):
@@ -255,37 +239,33 @@ def coordinate_ascent(s: Scenario, cfg: AscentConfig | None = None) -> Optimizat
     return result
 
 
-# The finest oracle step, about 5e7 profiles: a few seconds of oracle.
-_MIN_ORACLE_STEP = 1e-4
+# the certificate's gap, boxes split a round and work in box x term elements
+_CERTIFY_TOL, _CERTIFY_BATCH, _CERTIFY_WORK = 1e-6, 256, 1 << 23
 
 
-def _check_oracle_step(step: float):
-    """The grid oracle's validation of ``step``, on its own so that a caller
-    can reject a bad step before any work starts."""
-    if not 0.0 < step <= 0.1:
-        raise ValueError("oracle step must lie in (0, 0.1]")
-    if step < _MIN_ORACLE_STEP:
-        raise ValueError(f"oracle step below {_MIN_ORACLE_STEP:g} makes the grid too large to run")
-
-
-def grid_search_oracle(s: Scenario, step: float) -> OptimizationResult:
-    """Exact throughput maximisation on the (tau1, tau2) simplex grid.
-
-    Maximises over every (i*step, j*step) with sum at most 1, one scan along
-    each tau1 row, and returns the argmax; ties resolve to the
-    lexicographically smallest point.
-    """
-    _check_oracle_step(step)
-    best_th = -1.0
-    best = (0.0, 0.0)
-    i = 0
-    while (tau1 := i * step) <= 1.0:
-        total = _prefix(0.0, step, lambda x: tau1 + x <= 1.0, 1.0 - tau1)
-        tau2, th = _scan(*_scan_line(s, 1, tau1), total, lambda k: k * step)
-        if th > best_th:
-            best_th, best = th, (tau1, tau2)
-        i += 1
-    tau1, tau2 = best
-    return OptimizationResult(
-        tau1, tau2, best_th, 0, True, ((0, tau1, tau2, best_th),)
-    )
+def _certify(s: Scenario):
+    """(tau1, tau2, throughput, bound): the best box centre and the largest
+    bound of a box (a row x0, x1, y0, y1, bound) left open or dropped.  Each
+    round halves the boxes of largest bound on their longer side, keeps the
+    halves that meet the simplex (every lower one), bounds them a budget a
+    call, evaluates the best scored centre, drops those within _CERTIFY_TOL."""
+    terms = max(64, _terms(s).log_coef.size)  # a box's fixed costs count as 64 terms
+    per, work, dropped = max(1, _BLOCK_ELEMENTS // terms), 0, -math.inf
+    boxes, best = np.array([[0.0, 1.0, 0.0, 1.0, math.inf]]), (0.0, 0.0, -math.inf)
+    while len(boxes) and boxes[:, 4].max() > best[2] + _CERTIFY_TOL and work < _CERTIFY_WORK:
+        order = np.argpartition(-boxes[:, 4], min(_CERTIFY_BATCH, len(boxes)) - 1)
+        low, boxes = boxes[order[:_CERTIFY_BATCH]], boxes[order[_CERTIFY_BATCH:]]
+        high, rows = low.copy(), np.arange(len(low))
+        side = 2 * (low[:, 1] - low[:, 0] < low[:, 3] - low[:, 2])
+        low[rows, side + 1] = high[rows, side] = (low[rows, side] + low[rows, side + 1]) / 2.0
+        halves = np.concatenate((low, high[high[:, 0] + high[:, 2] <= 1.0]))
+        pieces = (_box_bounds(s, *halves[k : k + per, :4].T) for k in range(0, len(halves), per))
+        halves[:, 4], score = map(np.concatenate, zip(*pieces))
+        work += len(halves) * terms
+        tau = ((halves[:, 0:4:2] + halves[:, 1:4:2]) / 2.0)[np.argmax(score)].tolist()
+        if score.max() > -math.inf and (th := average_throughput(s, PowerProfile(*tau))) > best[2]:
+            best = (*tau, th)
+        kept = halves[:, 4] > best[2] + _CERTIFY_TOL
+        dropped = max(dropped, halves[~kept, 4].max(initial=-math.inf))
+        boxes = np.concatenate((boxes, halves[kept]))
+    return (*best, float(max(dropped, boxes[:, 4].max(initial=-math.inf))))

@@ -119,8 +119,8 @@ def reference_scan(f, lo, hi, step):
 
 
 def reference_oracle(s, step):
-    """The nested-loop simplex grid search the batched oracle replaced:
-    (tau1, tau2, throughput) of the lexicographically first maximum."""
+    """The nested-loop simplex grid search, which the certificate's bound must
+    cover: (tau1, tau2, throughput) of the lexicographically first maximum."""
     best_th = -1.0
     best = (0.0, 0.0)
     i = 0

@@ -27,7 +27,6 @@ PUBLIC = {
     "AscentConfig",
     "OptimizationResult",
     "coordinate_ascent",
-    "grid_search_oracle",
     "SimConfig",
     "SimStats",
     "sic_decode",
@@ -36,7 +35,7 @@ PUBLIC = {
 
 
 def test_package_exports_exactly_the_public_names():
-    assert len(noma_aloha.__all__) == len(PUBLIC) == 19
+    assert len(noma_aloha.__all__) == len(PUBLIC) == 18
     assert set(noma_aloha.__all__) == PUBLIC
 
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noma_aloha import cli
+from noma_aloha import cli, model, optimize
 from noma_aloha.cli import main
 from noma_aloha.model import (
     PowerProfile,
@@ -157,7 +157,6 @@ class TestAnalyze:
 
 
 TRACE_ALONE = "--trace emits only the ascent trace; drop --oracle and --baseline"
-STEP_NEEDS_ORACLE = "--oracle-step needs --oracle"
 
 
 class TestOptimize:
@@ -168,6 +167,12 @@ class TestOptimize:
         assert code == 0
         rec = json.loads(out)[0]
         assert abs(rec["th_star"] - rec["oracle_th"]) <= 1e-3
+        # the certificate's bound lies above both throughputs, within 1e-6 of its own
+        assert rec["oracle_bound"] >= rec["oracle_th"] and rec["oracle_bound"] >= rec["th_star"]
+        assert rec["oracle_bound"] - rec["oracle_th"] <= 1e-6
+        assert rec["oracle_th"] == average_throughput(
+            Scenario(10, 4.0, 1.5, 1.5), PowerProfile(rec["oracle_tau1"], rec["oracle_tau2"])
+        )
         assert rec["th_star"] > rec["baseline_th_star"]
         assert rec["baseline_th_star"] == pytest.approx(
             10 * math.log2(5.0) * 0.1 * 0.9**9, rel=1e-12
@@ -176,11 +181,13 @@ class TestOptimize:
 
     @pytest.mark.parametrize("step", ["0.5", "0", "nan"])
     def test_bad_oracle_step_exits_2_before_the_ascent(self, step, capsys):
-        code, out, err = run_cli(["optimize", "--oracle", "--oracle-step", step], capsys)
-        assert code == 2
+        # the certificate has no step: the parser refuses every one
+        with pytest.raises(SystemExit) as exc:
+            main(["optimize", "--oracle", "--oracle-step", step])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
         assert out == ""
-        # no ascent summary: the step is checked before any work starts
-        assert err == "config error: oracle step must lie in (0, 0.1]\n"
+        assert "unrecognized arguments: --oracle-step" in err
 
     @pytest.mark.parametrize(
         "flags, message",
@@ -188,9 +195,6 @@ class TestOptimize:
             (["--trace", "--oracle"], TRACE_ALONE),
             (["--trace", "--baseline"], TRACE_ALONE),
             (["--trace", "--oracle", "--baseline"], TRACE_ALONE),
-            (["--oracle-step", "7"], STEP_NEEDS_ORACLE),
-            (["--oracle-step", "0.05", "--baseline"], STEP_NEEDS_ORACLE),
-            (["--trace", "--oracle-step", "0.05"], STEP_NEEDS_ORACLE),
         ],
     )
     def test_ignored_flags_exit_2_before_the_ascent(self, flags, message, capsys, monkeypatch):
@@ -222,8 +226,8 @@ class TestOptimize:
         [
             ["optimize", "--grid-step", "1e-300"],
             ["optimize", "--grid-step", "9e-9"],
-            ["optimize", "--oracle", "--oracle-step", "1e-9"],
-            ["optimize", "--oracle", "--oracle-step", "9.9e-5"],
+            ["optimize", "--oracle", "--grid-step", "1e-9"],
+            ["optimize", "--oracle", "--baseline", "--grid-step", "9.9e-9"],
             ["sweep", "--axis", "m", "--start", "2", "--stop", "4", "--step", "1",
              "--optimize", "--grid-step", "1e-300"],
         ],
@@ -233,7 +237,7 @@ class TestOptimize:
             raise AssertionError("work started before the step was checked")
 
         monkeypatch.setattr(cli, "coordinate_ascent", fail)
-        monkeypatch.setattr(cli, "grid_search_oracle", fail)
+        monkeypatch.setattr(cli, "_certify", fail)
         code, out, err = run_cli(flags, capsys)
         assert code == 2
         assert out == ""
@@ -550,6 +554,74 @@ class TestSweep:
         assert "integer" in err
 
 
+class TestTableCap:
+    """A command whose model table, counted from the caps, holds more than
+    MAX_TABLE_TERMS terms exits 2 before any table is built or any work
+    starts.  At m = 10 and gamma = 0.3 the table holds 30 terms; at m = 2
+    and 6, 6 and 26."""
+
+    COMMANDS = [
+        ["analyze", "--gamma", "0.3", "--tau1", "0.1", "--tau2", "0.1"],
+        ["optimize", "--gamma", "0.3", "--oracle", "--baseline"],
+        ["simulate", "--gamma", "0.3", "--tau1", "0.1", "--tau2", "0.1", "--slots", "100",
+         "--replications", "2"],
+        # only the last point is too large, and no point is computed
+        ["sweep", "--gamma", "0.3", "--axis", "m", "--start", "2", "--stop", "10", "--step", "4",
+         "--tau1", "0.1", "--tau2", "0.1", "--simulate", "--optimize", "--slots", "100",
+         "--replications", "2"],
+    ]
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The scenarios whose table is built, each call of the work that
+        follows refused."""
+        tables = []
+        real = model._terms
+
+        def terms(s):
+            tables.append(s)
+            return real(s)
+
+        monkeypatch.setattr(model, "_terms", terms)
+        monkeypatch.setattr(optimize, "_terms", terms)
+        return tables
+
+    @pytest.mark.parametrize("args", COMMANDS, ids=lambda args: args[0])
+    def test_a_table_over_the_cap_exits_2_before_any_work(self, args, built, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("work started before the table was counted")
+
+        monkeypatch.setattr(cli, "MAX_TABLE_TERMS", 29)
+        for name in ("coordinate_ascent", "run_simulation", "_certify"):
+            monkeypatch.setattr(cli, name, fail)
+        code, out, err = run_cli(args, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("config error: ")
+        assert err.endswith("model table has 30 terms, more than 29\n")
+        assert built == []
+
+    @pytest.mark.parametrize("args", COMMANDS, ids=lambda args: args[0])
+    def test_a_table_at_the_cap_is_built(self, args, built, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_TABLE_TERMS", 30)
+        code, out, _ = run_cli(args, capsys)
+        assert code == 0 and out
+        assert Scenario(10, 4.0, 1.5, 0.3) in built
+
+    def test_region_reads_only_the_caps(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_TABLE_TERMS", 0)
+        code, out, _ = run_cli(["region", "--gamma", "0.3"], capsys)
+        assert code == 0 and len(parse_csv(out)) == 66
+
+    def test_readme_low_threshold_simulation_fits(self, built):
+        # README's simulate --m 600 --gamma 1e-4 builds a table of 360 600 terms
+        cfg = cli.ExperimentConfig(m=600, gamma=1e-4)
+        assert cli.MAX_TABLE_TERMS >= 360_600
+        assert cli._scenario(cfg) == Scenario(600, 4.0, 1.5, 1e-4)
+        assert built == []
+        with pytest.raises(cli.ConfigError, match="more than"):
+            cli._scenario(cli.ExperimentConfig(m=1000, gamma=1e-6))
+
+
 class TestUnwritablePaths:
     """An output or trace path that cannot be written is a configuration
     error, found before any work starts and without writing any file."""
@@ -706,8 +778,8 @@ class TestDeterminism:
         assert traced == untraced
         assert traced.pair_counts == untraced.pair_counts
 
-    # sha256 of the --output bytes, recorded before the kernel evaluated
-    # lines: the seed-13 optimize-sweep workload and a fine grid oracle
+    # sha256 of the --output bytes: the seed-13 optimize-sweep workload,
+    # recorded before the kernel evaluated lines, and the certificate
     @pytest.mark.parametrize(
         "args, digest",
         [
@@ -718,11 +790,11 @@ class TestDeterminism:
                 "d172a99443d8597d248ef0c4bd70a692c3bd291e0792fe7ce9a20841c6ec87ad",
             ),
             (
-                "optimize --oracle --oracle-step 0.005 --m 50 --v1 20 --v2 2 --gamma 0.3",
-                "a3cade1376f3888bb17cefd79e3ee169aa9019c1ea2507cb943cd2f66c3d853e",
+                "optimize --oracle --m 50 --v1 20 --v2 2 --gamma 0.3",
+                "7547b88fddd7a5d341d6239bea063d47c3ac8cf20f33d85135b619f9cf7f66a3",
             ),
         ],
-        ids=["optimize-sweep-seed-13", "oracle-step-0.005"],
+        ids=["optimize-sweep-seed-13", "oracle-certificate"],
     )
     def test_optimizer_outputs_are_pinned(self, args, digest, tmp_path, capsys):
         out = tmp_path / "out.csv"

@@ -11,7 +11,7 @@ from noma_aloha.cli import main
 SCENARIO = ["m", "v1", "v2", "gamma"]
 PROFILE = ["tau1", "tau2"]
 ASCENT = ["tau1_star", "tau2_star", "th_star", "outer_iterations", "converged"]
-ORACLE = ["oracle_tau1", "oracle_tau2", "oracle_th"]
+ORACLE = ["oracle_tau1", "oracle_tau2", "oracle_th", "oracle_bound"]
 BASELINE = ["baseline_p_star", "baseline_th_star"]
 SIMULATE = [
     "slots", "replications", "seed",
@@ -33,7 +33,7 @@ LAYOUTS = {
     ),
     "optimize": (["optimize", *FAST_ASCENT], SCENARIO + ASCENT),
     "optimize-oracle-baseline": (
-        ["optimize", *FAST_ASCENT, "--oracle", "--oracle-step", "0.05", "--baseline"],
+        ["optimize", *FAST_ASCENT, "--oracle", "--baseline"],
         SCENARIO + ASCENT + ORACLE + BASELINE,
     ),
     "optimize-trace": (

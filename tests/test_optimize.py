@@ -1,4 +1,4 @@
-"""Tests for the alternating maximisation and the grid-search oracle."""
+"""Tests for the alternating maximisation and the branch-and-bound certificate."""
 
 import math
 import tracemalloc
@@ -7,12 +7,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from noma_aloha import model, optimize
 from noma_aloha.model import PowerProfile, Scenario, average_throughput
-from noma_aloha.optimize import AscentConfig, coordinate_ascent, grid_search_oracle
+from noma_aloha.optimize import AscentConfig, _certify, coordinate_ascent
 from support import boundary_scenarios, random_scenario, reference_oracle, reference_scan
 
 DEFAULTS = Scenario(m=10, v1=4.0, v2=1.5, gamma=1.5)
@@ -40,7 +40,7 @@ def scan(f, bounds, budget, lo, hi, step):
 
 
 def with_budget(budget):
-    """Hand every line of the ascent and the oracle the element ``budget``."""
+    """Hand every line of the ascent the element ``budget``."""
     real = optimize._scan_line
     return mock.patch.object(optimize, "_scan_line", lambda *line: (*real(*line)[:2], budget))
 
@@ -306,13 +306,9 @@ class TestPrunedScan:
 
     @staticmethod
     def samples(kind, axis, fixed, step, where):
-        """The line and the samples of one scan of each caller: the ascent's
-        coarse scan of [0, 1 - fixed], a bracket [lo, 1 - fixed] with
-        lo > 0 as a refinement scans, or an oracle row, tau2 = k*step while
-        fixed + tau2 <= 1."""
-        if kind == "row":
-            total = optimize._prefix(0.0, step, lambda x: fixed + x <= 1.0, 1.0 - fixed)
-            return 1, total, lambda k: k * step
+        """The line and the samples of one scan of each kind: the ascent's
+        coarse scan of [0, 1 - fixed], or a bracket [lo, 1 - fixed] with
+        lo > 0 as a refinement scans."""
         hi = 1.0 - fixed
         lo = where * hi if kind == "bracket" else 0.0
         return (axis, *optimize._grid(lo, hi, step))
@@ -325,7 +321,7 @@ class TestPrunedScan:
         st.sampled_from([1, 5, 32]),
         # an element budget, or None for the line's own
         st.sampled_from([1, 7, 64, None]),
-        st.sampled_from(["coarse", "bracket", "row"]),
+        st.sampled_from(["coarse", "bracket"]),
         st.floats(0.0, 1.0, exclude_min=True),
     )
     @settings(max_examples=300, deadline=None)
@@ -333,7 +329,7 @@ class TestPrunedScan:
     @example(Scenario(50, 20.0, 2.0, 0.3), 1, 0.055, 1e-3, 5, None, "coarse", 0.5)
     @example(DEFAULTS, 0, 0.753, 1e-3, 5, 64, "coarse", 0.5)
     # scans of many pieces
-    @example(Scenario(50, 20.0, 2.0, 0.3), 1, 0.05, 1e-3, 5, 64, "row", 0.5)
+    @example(Scenario(50, 20.0, 2.0, 0.3), 1, 0.05, 1e-3, 5, 64, "coarse", 0.5)
     @example(Scenario(50, 20.0, 2.0, 0.3), 0, 0.02, 1e-3, 1, 7, "bracket", 0.01)
     def test_matches_full_scan_and_bounds_cover_the_kernel(
         self, s, axis, fixed, step, interval, piece, kind, where
@@ -405,11 +401,10 @@ class TestPrunedScan:
         # of 951 samples
         assert sum(evaluated) < 200, evaluated
 
-    def test_skips_most_of_an_oracle_row_over_many_pieces(self):
+    def test_skips_most_of_a_line_over_many_pieces(self):
         s = Scenario(50, 20.0, 2.0, 0.3)
         kernel = TestGridScan.kernel(s, 1, 0.05)
-        points = lambda k: k * 1e-3  # noqa: E731
-        total = optimize._prefix(0.0, 1e-3, lambda x: 0.05 + x <= 1.0, 0.95)
+        total, points = optimize._grid(0.0, 0.95, 1e-3)
         evaluated = []
 
         def f(xs):
@@ -472,11 +467,22 @@ class TestElementBudget:
         runs = [size for kind, size, _ in calls if kind == "runs"]
         assert runs == [4096] * 7 + [31_251 - 7 * 4096]
 
-    def test_oracle_on_a_fine_grid(self, monkeypatch):
-        s = Scenario(50, 20.0, 2.0, 0.3)
-        calls = self.spy(monkeypatch)
-        grid_search_oracle(s, 0.002)
-        self.check(calls, s)
+    @pytest.mark.parametrize("s", [Scenario(50, 20.0, 2.0, 0.171), Scenario(100, 4.0, 1.5, 0.05)])
+    def test_certificate_boxes(self, s, monkeypatch):
+        # 232 and 908 terms: rounds of up to 512 halves, bounded 70 and 18
+        # boxes a call
+        sizes = []
+        real = optimize._box_bounds
+
+        def box_bounds(s, x0, x1, y0, y1):
+            sizes.append(x0.size)
+            return real(s, x0, x1, y0, y1)
+
+        monkeypatch.setattr(optimize, "_box_bounds", box_bounds)
+        _certify(s)
+        budget = max(1, 2**14 // model._terms(s).log_coef.size)
+        assert budget in (70, 18)
+        assert max(sizes) == budget and min(sizes) > 0, sizes
 
 
 # float.hex of (tau1_star, tau2_star, th_star), then outer_iterations and
@@ -555,8 +561,8 @@ class TestCoordinateAscent:
         res = coordinate_ascent(DEFAULTS)
         assert res.converged
         assert res.outer_iterations <= 20
-        oracle = grid_search_oracle(DEFAULTS, 0.01)
-        assert res.th_star >= oracle.th_star - 1e-3
+        tau1, tau2, th, bound = _certify(DEFAULTS)
+        assert res.th_star >= bound - 1e-3
 
     def test_fine_grid_reaches_the_optimum_at_large_m(self):
         # a coarse step of 1e-6 finds the optimum near tau = 1/m that the
@@ -569,19 +575,22 @@ class TestCoordinateAscent:
         "m",
         [
             1_000,
-            pytest.param(10_000, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 1")),
-            pytest.param(100_000, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 1")),
+            pytest.param(10_000, marks=pytest.mark.xfail(
+                strict=True, reason="ROADMAP item 1: ascent 0.980809, certified 0.981757")),
+            pytest.param(100_000, marks=pytest.mark.xfail(
+                strict=True, reason="ROADMAP item 1: ascent 0.858611, certified 0.981709")),
         ],
     )
     def test_default_ascent_reaches_dense_grid_maximum(self, m):
         # the optimum sits near tau = 1/m; the default ascent's finest
-        # resolution is a fixed 1e-5, so it falls short at large m
+        # resolution is a fixed 1e-5, so it falls short at large m.  The
+        # reference is the certificate's bound, which no profile exceeds.
         s = Scenario(m, 4.0, 1.5, 1.3)
         cfg = AscentConfig()
         res = coordinate_ascent(s, cfg)
-        taus = np.arange(801) * (10.0 / m / 800)
-        dense = max(float(model._line(s, 1, tau1)(taus).max()) for tau1 in taus.tolist())
-        assert res.th_star >= dense - cfg.epsilon
+        tau1, tau2, th, bound = _certify(s)
+        assert bound - th <= 1e-6
+        assert res.th_star >= bound - cfg.epsilon
 
     def test_empty_region_stops_after_first_sweep(self):
         res = coordinate_ascent(EMPTY)
@@ -624,62 +633,171 @@ class TestCoordinateAscent:
         assert res.th_star == pytest.approx(math.log2(2.5), rel=1e-12)
 
 
-class TestGridSearchOracle:
-    def test_single_user(self):
-        res = grid_search_oracle(SINGLE, 0.01)
-        assert (res.tau1_star, res.tau2_star) == (1.0, 0.0)
-        assert res.th_star == pytest.approx(math.log2(5.0), rel=1e-12)
+@st.composite
+def boxes_meeting_the_simplex(draw):
+    """A box [x0, x1] x [y0, y1] with (x0, y0) in the simplex: on the axes,
+    across the hypotenuse, wide or down to a few ulps."""
+    def side(limit):
+        lo = draw(st.one_of(st.just(0.0), st.floats(0.0, limit), st.floats(0.0, 1e-3)))
+        width = draw(st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 1e-4), st.sampled_from([5e-324, 1e-12])))
+        return lo, lo + width
 
-    def test_empty_region_ties_break_to_origin(self):
-        res = grid_search_oracle(EMPTY, 0.05)
-        assert res.th_star == 0.0
-        assert (res.tau1_star, res.tau2_star) == (0.0, 0.0)
+    x0, x1 = side(1.0)
+    y0, y1 = side(1.0 - x0)
+    assume(x0 + y0 <= 1.0)
+    return x0, x1, y0, y1
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestBoxBounds:
+    """A box's bound covers the kernel at every profile of the box within
+    the simplex."""
+
+    @staticmethod
+    def points(box, where):
+        """The profiles of the simplex on a grid over the box: its ends, its
+        middle and three fractions of each side from ``where``, and the points
+        of the hypotenuse above the grid's tau1 values."""
+        x0, x1, y0, y1 = box
+        xs = np.minimum(x0 + np.array([0.0, 1.0, 0.5, *where[0::2]]) * (x1 - x0), x1)
+        ys = np.minimum(y0 + np.array([0.0, 1.0, 0.5, *where[1::2]]) * (y1 - y0), y1)
+        grid = [(x, y) for x in xs.tolist() for y in ys.tolist() if x + y <= 1.0]
+        # the box's points on the hypotenuse, as near as floats come
+        grid += [(x, (1.0 - x)) for x in xs.tolist() if y0 <= 1.0 - x <= y1]
+        return [(x, y) for x, y in grid if x + y <= 1.0]
+
+    @given(
+        SCAN_SCENARIOS,
+        st.lists(boxes_meeting_the_simplex(), min_size=1, max_size=6),
+        st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6),
+    )
+    @settings(max_examples=300, deadline=None)
+    # a box across the hypotenuse, and one on both axes
+    @example(DEFAULTS, [(0.25, 0.75, 0.5, 0.75), (0.0, 0.1, 0.0, 0.1)], [0.5] * 6)
+    @example(Scenario(100_000, 4.0, 1.5, 1.3), [(0.0, 2e-5, 0.0, 1e-5)], [0.3, 0.7] * 3)
+    def test_bounds_cover_the_kernel(self, s, boxes, where):
+        x0, x1, y0, y1 = np.array(boxes).T
+        bound, score = model._box_bounds(s, x0, x1, y0, y1)
+        assert bound.shape == score.shape == (len(boxes),)
+        for box, b in zip(boxes, bound.tolist()):
+            for x, y in self.points(box, where):
+                th = average_throughput(s, PowerProfile(x, y))
+                assert b >= th, (box, x, y, b - th)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_tiny_boxes_cover_the_kernel_at_their_corners(self, seed):
+        # boxes 1e-13 wide: the tangent plane is the centre's value within
+        # rounding, so only its slack covers the kernel's own rounding
+        rng = np.random.default_rng(seed)
+        scenarios = [random_scenario(rng, m_max=60) for _ in range(10)]
+        scenarios += [Scenario(int(m), 4.0, 1.5, 1.3) for m in rng.integers(1000, 100_000, 10)]
+        for s in scenarios:
+            x0, y0 = rng.uniform(0.0, 0.3, 50), rng.uniform(0.0, 0.3, 50)
+            bound = model._box_bounds(s, x0, x0 + 1e-13, y0, y0 + 1e-13)[0].tolist()
+            for b, x, y in zip(bound, x0.tolist(), y0.tolist()):
+                for px, py in ((x, y), (x + 1e-13, y + 1e-13), (x + 5e-14, y + 5e-14)):
+                    assert b >= average_throughput(s, PowerProfile(px, py)), (s, x, y)
+
+    @pytest.mark.parametrize("s", [DEFAULTS, SINGLE, EMPTY, Scenario(50, 20.0, 2.0, 0.3)])
+    def test_scores_are_the_throughput_at_box_centres(self, s):
+        x0, y0 = np.meshgrid(np.arange(8) / 8.0, np.arange(8) / 8.0)
+        x0, y0 = x0.ravel(), y0.ravel()
+        keep = x0 + y0 <= 1.0
+        x0, y0 = x0[keep], y0[keep]
+        bound, score = model._box_bounds(s, x0, x0 + 0.125, y0, y0 + 0.125)
+        xc, yc = x0 + 0.0625, y0 + 0.0625
+        inside = xc + yc < 1.0
+        want = [average_throughput(s, PowerProfile(x, y)) for x, y in zip(xc[inside], yc[inside])]
+        assert score[inside] == pytest.approx(want, rel=1e-12, abs=1e-300)
+        assert np.all(score[~inside] == -np.inf)
+        assert np.all(bound >= np.where(inside, score, 0.0))
+
+    @pytest.mark.parametrize("s", [Scenario(3, 4.0, 1.5, 0.5), Scenario(1000, 4.0, 1.5, 1.3)])
+    def test_boxes_split_in_any_batch_keep_their_bits(self, s):
+        rng = np.random.default_rng(5)
+        x0, y0 = rng.uniform(0.0, 0.5, 64), rng.uniform(0.0, 0.5, 64)
+        x1, y1 = x0 + rng.uniform(0.0, 0.1, 64), y0 + rng.uniform(0.0, 0.1, 64)
+        whole = model._box_bounds(s, x0, x1, y0, y1)
+        for a in range(0, 64, 7):
+            part = model._box_bounds(s, x0[a : a + 7], x1[a : a + 7], y0[a : a + 7], y1[a : a + 7])
+            assert [v.tolist() for v in part] == [v[a : a + 7].tolist() for v in whole]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestCertificate:
+    """The branch and bound: its best centre's throughput in the kernel's
+    bits, and a bound that no profile exceeds."""
+
+    def test_single_user(self):
+        tau1, tau2, th, bound = _certify(SINGLE)
+        assert tau1 + tau2 <= 1.0 and tau1 > tau2
+        assert th <= math.log2(5.0) <= bound
+        assert bound - th <= 1e-6
+
+    def test_empty_region(self):
+        assert _certify(EMPTY)[2:] == (0.0, 0.0)
 
     def test_defaults_prefer_high_power(self):
-        res = grid_search_oracle(DEFAULTS, 0.01)
-        assert res.tau1_star > res.tau2_star
+        tau1, tau2, th, bound = _certify(DEFAULTS)
+        assert tau1 > tau2
+        assert bound - th <= 1e-6
 
-    def test_step_validation(self):
-        with pytest.raises(ValueError):
-            grid_search_oracle(DEFAULTS, 0.0)
-        with pytest.raises(ValueError):
-            grid_search_oracle(DEFAULTS, 0.2)
-
-    def test_step_has_a_floor(self):
-        # a finer step grids more than about 5e7 profiles
-        assert optimize._MIN_ORACLE_STEP == 1e-4
-        optimize._check_oracle_step(1e-4)
-        for step in (9.99e-5, 1e-9, 5e-324):
-            with pytest.raises(ValueError, match="too large to run"):
-                grid_search_oracle(DEFAULTS, step)
-
-    def test_grid_respects_simplex(self):
-        res = grid_search_oracle(Scenario(3, 4.0, 1.5, 0.5), 0.1)
-        assert res.tau1_star + res.tau2_star <= 1.0
+    @pytest.mark.parametrize(
+        "s", [DEFAULTS, SINGLE, Scenario(3, 4.0, 1.5, 0.5), Scenario(50, 20.0, 2.0, 0.3)]
+    )
+    def test_reports_the_kernel_at_its_profile(self, s):
+        tau1, tau2, th, bound = _certify(s)
+        assert th == average_throughput(s, PowerProfile(tau1, tau2))
 
     @pytest.mark.parametrize("step", [0.1, 0.05, 0.01])
     @pytest.mark.parametrize(
         "s", [DEFAULTS, SINGLE, EMPTY, Scenario(3, 4.0, 1.5, 0.5), Scenario(50, 20.0, 2.0, 0.3)]
     )
-    def test_matches_reference_nested_loops(self, s, step):
-        res = grid_search_oracle(s, step)
-        assert (res.tau1_star, res.tau2_star, res.th_star) == reference_oracle(s, step)
+    def test_bound_covers_reference_grid(self, s, step):
+        tau1, tau2, th, bound = _certify(s)
+        grid = reference_oracle(s, step)[2]
+        assert bound >= grid and bound >= th
+        assert th >= grid - 1e-6
 
-    @pytest.mark.parametrize("piece", [1, 7])
-    def test_rows_split_into_pieces_match_reference(self, piece):
-        with with_budget(piece):
-            res = grid_search_oracle(DEFAULTS, 0.05)
-        assert (res.tau1_star, res.tau2_star, res.th_star) == reference_oracle(DEFAULTS, 0.05)
+    @given(st.one_of(boundary_scenarios(), large_scenarios(), st.integers(0, 2**32 - 1).map(
+        lambda seed: random_scenario(np.random.default_rng(seed), m_max=30))))
+    @settings(max_examples=40, deadline=None)
+    def test_bound_covers_the_ascent_and_the_reference_grid(self, s):
+        tau1, tau2, th, bound = _certify(s)
+        assert bound >= th and bound >= coordinate_ascent(s).th_star
+        if s.m <= 30:
+            assert bound >= reference_oracle(s, 0.05)[2]
 
-    def test_memory_stays_bounded_on_a_fine_grid(self):
-        # about 125 k profiles over an 86-term table: built all at once, one
-        # profile x term array would take about 86 MB
+    @pytest.mark.parametrize(
+        "s",
+        [DEFAULTS, Scenario(10_000, 4.0, 1.5, 1.3), Scenario(100_000, 4.0, 1.5, 1.3)]
+        + [Scenario(50, 20.0, 2.0, gamma) for gamma, _ in sorted(PINNED)[::2]],
+    )
+    def test_closes_on_the_sweep_and_at_large_m(self, s):
+        tau1, tau2, th, bound = _certify(s)
+        assert 0.0 <= bound - th <= 1e-6
+        assert bound >= coordinate_ascent(s).th_star
+
+    @pytest.mark.parametrize("budget", [1, 7])
+    def test_boxes_a_call_leave_the_result(self, budget, monkeypatch):
+        # the defaults' 4 terms count as 64 a box
+        want = _certify(DEFAULTS)
+        monkeypatch.setattr(optimize, "_BLOCK_ELEMENTS", 64 * budget)
+        assert _certify(DEFAULTS) == want
+
+    def test_the_work_budget_ends_the_search(self, monkeypatch):
+        monkeypatch.setattr(optimize, "_CERTIFY_WORK", 1)
+        tau1, tau2, th, bound = _certify(Scenario(50, 20.0, 2.0, 0.3))
+        assert th == average_throughput(Scenario(50, 20.0, 2.0, 0.3), PowerProfile(tau1, tau2))
+        assert bound - th > 1e-3
+
+    def test_memory_stays_bounded(self):
         s = Scenario(50, 20.0, 2.0, 0.3)
+        model._terms(s)
         tracemalloc.start()
         try:
-            res = grid_search_oracle(s, 0.002)
+            _certify(s)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert res.th_star > 0.0
         assert peak < 4 * 2**20, peak
