@@ -14,7 +14,7 @@ from .model import (
     sinr_low,
     success_probability,
 )
-from .optimize import AscentConfig, OptimizationResult, coordinate_ascent
+from .optimize import OptimizationResult, coordinate_ascent
 from .simulate import (
     SimConfig,
     SimStats,
@@ -36,7 +36,6 @@ __all__ = [
     "average_throughput",
     "baseline_success",
     "baseline_optimum",
-    "AscentConfig",
     "OptimizationResult",
     "coordinate_ascent",
     "SimConfig",

@@ -8,9 +8,9 @@ profile), ``optimize`` (the ascent, plus ``--oracle``, ``--baseline`` or
 Machine-readable rows (CSV or JSON) go to stdout or --output; human-readable
 summaries go to stderr.  Configuration precedence: command-line flags override
 config-file values, which override the built-in defaults (m=10, v1=4, v2=1.5,
-gamma=1.5).  A flag that sets an ``ExperimentConfig`` or ``AscentConfig``
-field has the field's name as its dest.  Input is validated before any work
-starts.  Exit codes: 0 success, 2 configuration error, 3 internal error.
+gamma=1.5).  A flag that sets an ``ExperimentConfig`` field has the field's
+name as its dest.  Input is validated before any work starts.  Exit codes:
+0 success, 2 configuration error, 3 internal error.
 """
 
 import argparse
@@ -33,7 +33,7 @@ from .model import (
     region_bounds,
     success_probability,
 )
-from .optimize import AscentConfig, _certify, coordinate_ascent
+from .optimize import _certify, coordinate_ascent
 from .simulate import SimConfig, run_simulation
 
 __all__ = ["main", "ExperimentConfig", "ConfigError"]
@@ -99,16 +99,6 @@ def _convert(f: Field, raw: str):
         ) from None
 
 
-def _given(args: argparse.Namespace, cls) -> dict:
-    """The fields of dataclass ``cls`` that were set on the command line:
-    each flag's dest is the field it sets, and an unset flag reads None."""
-    return {
-        f.name: getattr(args, f.name)
-        for f in fields(cls)
-        if getattr(args, f.name, None) is not None
-    }
-
-
 def _check_writable(path: str, what: str):
     """Reject a path that the command could not open for writing, before any
     work starts and without creating or truncating a file."""
@@ -134,7 +124,9 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
             if key not in by_name:
                 raise ConfigError(f"unknown config key '{key}'")
             setattr(cfg, key, _convert(by_name[key], raw))
-    cfg = replace(cfg, **_given(args, ExperimentConfig))
+    # each flag's dest is the field it sets, and an unset flag reads None
+    given = {f.name: getattr(args, f.name, None) for f in fields(cfg)}
+    cfg = replace(cfg, **{name: v for name, v in given.items() if v is not None})
     if cfg.format not in ("csv", "json"):
         raise ConfigError("format must be 'csv' or 'json'")
     if cfg.output:
@@ -269,10 +261,9 @@ def cmd_analyze(args) -> int:
 def cmd_optimize(args) -> int:
     cfg = build_config(args)
     s = _scenario(cfg)
-    acfg = _checked(AscentConfig, **_given(args, AscentConfig))
     if args.trace and (args.oracle or args.baseline):
         raise ConfigError("--trace emits only the ascent trace; drop --oracle and --baseline")
-    res = coordinate_ascent(s, acfg)
+    res = coordinate_ascent(s)
     _say(
         f"tau1*={_fmt6(res.tau1_star)} tau2*={_fmt6(res.tau2_star)} "
         f"th*={_fmt6(res.th_star)} iterations={res.outer_iterations} "
@@ -406,9 +397,6 @@ def cmd_sweep(args) -> int:
     if cfg.axis == "p_baseline" and (args.simulate or args.optimize):
         raise ConfigError("axis p_baseline supports neither --simulate nor --optimize")
     points = [_sweep_point(cfg, v) for v in values]  # validate all before output
-    acfg = (
-        _checked(AscentConfig, **_given(args, AscentConfig)) if args.optimize else None
-    )
     scfg = _sim_config(cfg, args.estimator) if args.simulate else None
     rows = []
     for value, (s, prof) in zip(values, points):
@@ -426,7 +414,7 @@ def cmd_sweep(args) -> int:
             row["stderr_p"] = stats.stderr_p
             row["stderr_th"] = stats.stderr_th
         if args.optimize:
-            res = coordinate_ascent(s, acfg)
+            res = coordinate_ascent(s)
             row["tau1_opt"] = res.tau1_star
             row["tau2_opt"] = res.tau2_star
             row["th_opt"] = res.th_star
@@ -471,22 +459,6 @@ def _add_output_args(p: argparse.ArgumentParser):
     p.add_argument("--output", help="output path (default: stdout)")
 
 
-def _add_ascent_args(p: argparse.ArgumentParser):
-    p.add_argument("--epsilon", type=float, help="improvement tolerance")
-    p.add_argument(
-        "--max-iterations", type=int, dest="max_outer_iterations", metavar="MAX_ITERATIONS"
-    )
-    p.add_argument("--grid-step", type=float)
-    p.add_argument("--refine-rounds", type=int)
-    p.add_argument(
-        "--single-start",
-        action="store_false",
-        dest="dual_start",
-        default=None,
-        help="run only the reference coordinate order",
-    )
-
-
 def _add_optimize_args(p: argparse.ArgumentParser):
     p.add_argument("--oracle", action="store_true", help="also certify the optimum")
     p.add_argument(
@@ -521,13 +493,13 @@ _COMMANDS = (
     ("analyze", "success probability and throughput at a point", cmd_analyze, (
         _add_scenario_args, _add_profile_args, _add_output_args)),
     ("optimize", "maximise throughput over (tau1, tau2)", cmd_optimize, (
-        _add_scenario_args, _add_output_args, _add_ascent_args, _add_optimize_args)),
+        _add_scenario_args, _add_output_args, _add_optimize_args)),
     ("simulate", "Monte Carlo run with analytic comparison", cmd_simulate, (
         _add_scenario_args, _add_profile_args, _add_sim_args, _add_output_args,
         _add_trace_file_arg)),
     ("sweep", "one-axis parameter sweep", cmd_sweep, (
         _add_scenario_args, _add_profile_args, _add_sim_args, _add_output_args,
-        _add_ascent_args, _add_sweep_args)),
+        _add_sweep_args)),
 )
 
 

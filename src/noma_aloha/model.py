@@ -18,9 +18,10 @@ profile is a line of one point.  The fixed
 coordinate enters the kernel as one row computed once per line, and the
 kernel reduces only the weight column its caller reads.  A scan takes a
 line with closed-form upper bounds on runs of its points, whose per-scenario
-constants the table holds too, and one element budget: at most
+constants the table holds too, one element budget, at most
 max(1, 2**14 // T) points per kernel call and runs per bounds call, T the
-table's size.  Boxes of the simplex are bounded a budget a call.
+table's size, and the point past which no term rises.  Boxes of the simplex
+are bounded a budget a call.
 """
 
 import bisect
@@ -370,7 +371,9 @@ def _line_bounds(s: Scenario, axis: int, fixed: float):
         # whole run, and so is every term with idle users.
         idle_at_lo = (1.0 - lo) - fixed if axis == 0 else (1.0 - fixed) - lo
         g = _clipped(table, axis, head, lo, hi, room, idle_at_lo > 0.0)
-        return np.exp(g, out=g) @ table.rate
+        # the slack passes exp's range from m ~ 1e16 on: an inf bound still holds
+        with np.errstate(over="ignore"):
+            return np.exp(g, out=g) @ table.rate
 
     return bounds
 
@@ -409,11 +412,16 @@ def _box_bounds(s: Scenario, x0, x1, y0, y1):
 
 def _scan_line(s: Scenario, axis: int, fixed: float):
     """The throughput on a line, as a scan takes it: ``(sums, bounds,
-    budget)``, the line's kernel, the bounds on its runs and its element
+    budget, cap)``, the line's kernel, the bounds on its runs, its element
     budget, the most points a kernel call evaluates and the most runs a
-    bounds call bounds, max(1, _BLOCK_ELEMENTS // T)."""
-    budget = max(1, _BLOCK_ELEMENTS // max(1, _terms(s).log_coef.size))
-    return _line(s, axis, fixed), _line_bounds(s, axis, fixed), budget
+    bounds call bounds, max(1, _BLOCK_ELEMENTS // T), and the largest
+    per-term peak along the axis (0 for an empty table): no term rises past
+    it, so the line's maximum lies in [0, cap]."""
+    table = _terms(s)
+    budget = max(1, _BLOCK_ELEMENTS // max(1, table.log_coef.size))
+    peak = table.counts[axis] * ((1.0 - fixed) + 2.0**-50) / table.spread[axis]
+    cap = float(peak.max(initial=0.0))
+    return _line(s, axis, fixed), _line_bounds(s, axis, fixed), budget, cap
 
 
 def _at(s: Scenario, prof: PowerProfile, column: int) -> float:

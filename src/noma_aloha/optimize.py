@@ -32,50 +32,12 @@ import numpy as np
 from .model import PowerProfile, Scenario, _box_bounds, _scan_line, _terms, average_throughput
 from .model import _BLOCK_ELEMENTS
 
-__all__ = ["AscentConfig", "OptimizationResult", "coordinate_ascent"]
+__all__ = ["OptimizationResult", "coordinate_ascent"]
 
-
-# The finest coarse step, 1e8 samples a scan: about 5 s of ascent at the defaults.
-_MIN_GRID_STEP = 1e-8
-
-
-@dataclass(frozen=True)
-class AscentConfig:
-    """Knobs for the alternating maximisation.
-
-    epsilon: minimum throughput improvement for an update to be accepted.
-    max_outer_iterations: cap on full tau2+tau1 update rounds.
-    grid_step: coarse step of each inner 1-D scan.
-    refine_rounds: bracket refinements around the incumbent, 10x finer each.
-    dual_start: also run the sweep with the coordinate order mirrored
-        (tau1 maximised first from tau2 = 0) and keep the better endpoint; a
-        single fixed order can stall on the simplex boundary when its first
-        1-D pass saturates the budget of the other coordinate.
-    """
-
-    epsilon: float = 1e-5
-    max_outer_iterations: int = 100
-    grid_step: float = 1e-3
-    refine_rounds: int = 2
-    dual_start: bool = True
-
-    def __post_init__(self):
-        if not self.epsilon > 0.0:
-            raise ValueError("epsilon must be positive")
-        if not 0.0 < self.grid_step < 1.0:
-            raise ValueError("grid_step must lie in (0, 1)")
-        if self.grid_step < _MIN_GRID_STEP:
-            raise ValueError(f"grid_step below {_MIN_GRID_STEP:g} makes a scan too large to run")
-        if self.max_outer_iterations < 1:
-            raise ValueError("max_outer_iterations must be at least 1")
-        if self.refine_rounds < 0:
-            raise ValueError("refine_rounds must be nonnegative")
-        # the finest width, divided as _maximize_over does; stops at the first 0
-        width = self.grid_step
-        for _ in range(self.refine_rounds):
-            width /= 10.0
-            if width == 0.0:
-                raise ValueError("refine_rounds takes the refinement width to 0")
+# An update must gain more than _EPSILON; a run makes at most
+# _MAX_OUTER_ITERATIONS rounds of updates; the coarse step is at most
+# _GRID_STEP, and _REFINE_ROUNDS bracket refinements follow, each 10x finer.
+_EPSILON, _MAX_OUTER_ITERATIONS, _GRID_STEP, _REFINE_ROUNDS = 1e-5, 100, 1e-3, 2
 
 
 @dataclass(frozen=True)
@@ -174,33 +136,55 @@ def _scan(f, bounds, budget, total, points):
     return float(best[1]), float(best[2])
 
 
-def _maximize_over(s: Scenario, axis: int, fixed: float, cfg: AscentConfig):
+def _maximize_over(s: Scenario, axis: int, fixed: float):
     """Best value of coordinate ``axis`` (0: tau1, 1: tau2) in [0, 1 - fixed]
     with the other coordinate held at ``fixed``, and the attained throughput:
-    a coarse scan, then ``cfg.refine_rounds`` bracket refinements.  The
-    line's kernel and bounds are built once and serve every scan."""
+    a coarse scan, then _REFINE_ROUNDS bracket refinements.  The line's
+    kernel and bounds are built once and serve every scan.
+
+    The coarse step is min(_GRID_STEP, cap / 20), cap the line's largest
+    per-term peak, so the samples resolve the peak near tau = lambda / m at
+    any m.  It is never below 2**-52 of the line, so a line has at most
+    2**52 + 1 samples and their indices stay exact; at cap = 0 no term rises
+    along the line and the step is _GRID_STEP.  A line longer than one piece
+    of runs is scanned only up to cap and one sample past it, and one bound
+    on the tail rules the rest out when it is not above the best value:
+    every tail sample comes after the best one, so a tie there cannot win.  A tail not ruled out is
+    scanned in ranges of doubling length, the rest of the tail bounded
+    before each.  The result is the full scan's, bit for bit."""
     if not 0.0 <= fixed <= 1.0:
         raise ValueError(f"{('tau2', 'tau1')[axis]} must lie in [0, 1]")
-    line = _scan_line(s, axis, fixed)
+    f, bounds, budget, cap = _scan_line(s, axis, fixed)
     hi = 1.0 - fixed
-    x, fx = _scan(*line, *_grid(0.0, hi, cfg.grid_step))
-    width = cfg.grid_step
-    for _ in range(cfg.refine_rounds):
+    step = min(_GRID_STEP, max(cap / 20.0, hi * 2.0**-52)) if cap > 0.0 else _GRID_STEP
+    total, points = _grid(0.0, hi, step)
+    # a line of one piece of runs is bounded in one call: scan it whole
+    head = total if total <= budget * _INTERVAL else min(total, int(cap / step) + 2)
+    x, fx = _scan(f, bounds, budget, head, points)
+    a, n = head, head
+    while a < total and not bounds(points(np.array([a])), points(np.array([total - 1])))[0] <= fx:
+        b = min(total, a + n)
+        x2, f2 = _scan(f, bounds, budget, b - a, lambda k, a=a: points(k + a))
+        if f2 > fx:
+            x, fx = x2, f2
+        a, n = b, 2 * n
+    width = step
+    for _ in range(_REFINE_ROUNDS):
         lo_r = max(0.0, x - width)
         hi_r = min(hi, x + width)
         width /= 10.0
-        x2, f2 = _scan(*line, *_grid(lo_r, hi_r, width))
+        x2, f2 = _scan(f, bounds, budget, *_grid(lo_r, hi_r, width))
         if f2 > fx:
             x, fx = x2, f2
     return x, fx
 
 
-def _alternating_sweep(s: Scenario, cfg: AscentConfig, low_first: bool) -> OptimizationResult:
+def _alternating_sweep(s: Scenario, low_first: bool) -> OptimizationResult:
     """One alternating maximisation run.
 
     From (0, 0), ``low_first`` maximises tau2 first (the reference order);
     otherwise tau1 is maximised first.  An update is accepted only when it
-    improves the incumbent throughput by more than epsilon; the first
+    improves the incumbent throughput by more than _EPSILON; the first
     rejected update stops the run (converged).
     """
     tau = [0.0, 0.0]
@@ -209,11 +193,11 @@ def _alternating_sweep(s: Scenario, cfg: AscentConfig, low_first: bool) -> Optim
     converged = False
     outer = 0
     axes = (1, 0) if low_first else (0, 1)
-    while outer < cfg.max_outer_iterations and not converged:
+    while outer < _MAX_OUTER_ITERATIONS and not converged:
         outer += 1
         for axis in axes:
-            cand, th = _maximize_over(s, axis, tau[1 - axis], cfg)
-            if th - best > cfg.epsilon:
+            cand, th = _maximize_over(s, axis, tau[1 - axis])
+            if th - best > _EPSILON:
                 tau[axis] = cand
                 best = th
                 trace.append((outer, *tau, best))
@@ -223,20 +207,20 @@ def _alternating_sweep(s: Scenario, cfg: AscentConfig, low_first: bool) -> Optim
     return OptimizationResult(*tau, best, outer, converged, tuple(trace))
 
 
-def coordinate_ascent(s: Scenario, cfg: AscentConfig | None = None) -> OptimizationResult:
+def coordinate_ascent(s: Scenario) -> OptimizationResult:
     """Alternating 1-D throughput maximisation over (tau1, tau2).
 
-    Runs the reference sweep (tau2 first) and, when ``cfg.dual_start`` is
-    set, the mirrored sweep as well, both from (0, 0), returning the endpoint
-    with the higher throughput (the reference sweep wins ties).
+    Runs the reference sweep (tau2 first) and the mirrored sweep (tau1
+    first), both from (0, 0), returning the endpoint with the higher
+    throughput (the reference sweep wins ties): a single fixed order can
+    stall on the simplex boundary when its first 1-D pass saturates the
+    budget of the other coordinate.  A sweep stops at the first update that
+    gains at most epsilon = 1e-5, so epsilon bounds the last accepted 1-D
+    gain, not the gap to the optimum, which can be larger.
     """
-    cfg = cfg or AscentConfig()
-    result = _alternating_sweep(s, cfg, low_first=True)
-    if cfg.dual_start:
-        mirrored = _alternating_sweep(s, cfg, low_first=False)
-        if mirrored.th_star > result.th_star:
-            result = mirrored
-    return result
+    result = _alternating_sweep(s, low_first=True)
+    mirrored = _alternating_sweep(s, low_first=False)
+    return mirrored if mirrored.th_star > result.th_star else result
 
 
 # the certificate's gap, boxes split a round and work in box x term elements

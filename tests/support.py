@@ -196,3 +196,23 @@ def random_profile(rng):
     tau1 = float(rng.uniform(0.0, 1.0))
     tau2 = float(rng.uniform(0.0, 1.0 - tau1))
     return PowerProfile(tau1, tau2)
+
+
+def poisson_limit_throughput(s, lam1, lam2):
+    """The throughput in the limit of many users at the fixed loads
+    ``(lam1, lam2) = m (tau1, tau2)``: the counts tend to independent
+    Poisson laws (Le Cam), so each pair's mass is a product of Poisson
+    masses, taken from ``math.lgamma``, and its sum rate comes from the slot
+    decoder.  Counts past lam + 20 sqrt(lam) + 40 carry no mass in floats."""
+
+    def pmf(lam, n):
+        return math.exp(n * math.log(lam) - lam - math.lgamma(n + 1)) if lam > 0.0 else float(n == 0)
+
+    def top(lam):
+        return int(lam + 20.0 * math.sqrt(lam) + 40.0)
+
+    return sum(
+        pmf(lam1, n1) * pmf(lam2, n2) * sic_decode(s, n1, n2).sum_rate
+        for n1 in range(top(lam1) + 1)
+        for n2 in range(top(lam2) + 1)
+    )

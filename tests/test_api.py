@@ -24,7 +24,6 @@ PUBLIC = {
     "average_throughput",
     "baseline_success",
     "baseline_optimum",
-    "AscentConfig",
     "OptimizationResult",
     "coordinate_ascent",
     "SimConfig",
@@ -35,7 +34,7 @@ PUBLIC = {
 
 
 def test_package_exports_exactly_the_public_names():
-    assert len(noma_aloha.__all__) == len(PUBLIC) == 18
+    assert len(noma_aloha.__all__) == len(PUBLIC) == 17
     assert set(noma_aloha.__all__) == PUBLIC
 
 

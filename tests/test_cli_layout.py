@@ -23,7 +23,6 @@ POINT = ["p_success", "th_avg"]
 SWEEP_SIM = ["p_success_sim", "th_sim", "stderr_p", "stderr_th"]
 SWEEP_OPT = ["tau1_opt", "tau2_opt", "th_opt", "opt_iterations", "opt_converged"]
 SIM_ARGS = ["--slots", "200", "--replications", "2", "--seed", "3"]
-FAST_ASCENT = ["--grid-step", "0.01", "--refine-rounds", "1"]
 
 LAYOUTS = {
     "region": (["region"], ["n1", "n2", "high_ok", "low_ok"]),
@@ -31,13 +30,13 @@ LAYOUTS = {
         ["analyze", "--tau1", "0.1", "--tau2", "0.1"],
         SCENARIO + PROFILE + POINT,
     ),
-    "optimize": (["optimize", *FAST_ASCENT], SCENARIO + ASCENT),
+    "optimize": (["optimize"], SCENARIO + ASCENT),
     "optimize-oracle-baseline": (
-        ["optimize", *FAST_ASCENT, "--oracle", "--baseline"],
+        ["optimize", "--oracle", "--baseline"],
         SCENARIO + ASCENT + ORACLE + BASELINE,
     ),
     "optimize-trace": (
-        ["optimize", *FAST_ASCENT, "--trace"],
+        ["optimize", "--trace"],
         ["iteration", "tau1", "tau2", "throughput"],
     ),
     "simulate": (
@@ -55,12 +54,12 @@ LAYOUTS = {
     ),
     "sweep-optimize": (
         ["sweep", "--axis", "v1", "--start", "3", "--stop", "4", "--step", "1",
-         "--optimize", *FAST_ASCENT],
+         "--optimize"],
         ["v1"] + POINT + SWEEP_OPT,
     ),
     "sweep-simulate-optimize": (
         ["sweep", "--axis", "tau1", "--start", "0.1", "--stop", "0.2", "--step", "0.1",
-         "--simulate", *SIM_ARGS, "--optimize", *FAST_ASCENT],
+         "--simulate", *SIM_ARGS, "--optimize"],
         ["tau1"] + POINT + SWEEP_SIM + SWEEP_OPT,
     ),
     "sweep-p_baseline": (

@@ -35,6 +35,7 @@ from support import (
     brute_force_throughput,
     edge_profiles,
     near_threshold,
+    poisson_limit_throughput,
     random_scenario,
     reference_evaluate,
     table_rates,
@@ -427,6 +428,23 @@ class TestAverageThroughput:
         assert average_throughput(s, prof) == pytest.approx(
             brute_force_throughput(s, prof), rel=0, abs=1e-12
         )
+
+    # (v1, v2, gamma) and a load near the optimum at large m
+    POISSON_LOADS = [
+        ((4.0, 1.5, 1.3), (0.8295, 0.4605)),
+        ((8.0, 2.0, 0.7), (1.423, 0.2425)),
+        ((20.0, 2.0, 0.3), (2.338, 0.704)),
+    ]
+
+    @pytest.mark.parametrize("powers, lam", POISSON_LOADS)
+    def test_large_m_tends_to_the_poisson_limit(self, powers, lam):
+        # the counts at tau = lam / m lie within (lam1 + lam2)**2 / m of the
+        # Poisson laws in total variation (Le Cam), so the gap shrinks as
+        # 1 / m: m * gap reads 0.53, 1.34 and 3.12 at each m from 1e3 to 1e5
+        limit = poisson_limit_throughput(Scenario(1000, *powers), *lam)
+        for m in (1000, 10_000, 100_000):
+            th = average_throughput(Scenario(m, *powers), PowerProfile(lam[0] / m, lam[1] / m))
+            assert m * abs(limit - th) <= 4.0, (m, limit, th)
 
 
 # fixed coordinates at the edges of the simplex and just inside them
