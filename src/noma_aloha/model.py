@@ -325,9 +325,16 @@ def _log0(t):
     return np.log(t, out=np.full(t.shape, _LOG_ZERO), where=t > 0.0)
 
 
-def _clipped(table: _Table, axis: int, head, lo, hi, room, open_):
+def _peak(table: _Table, axis: int, fixed):
+    """``(room, peak)`` of a line with the other coordinate at ``fixed``:
+    (1 - fixed) + 2**-50, and each term's stationary point along the axis
+    with room in place of 1 - fixed (see _line_bounds)."""
+    room = (1.0 - fixed) + 2.0**-50
+    return room, table.counts[axis] * room / table.spread[axis]
+
+
+def _clipped(table: _Table, axis: int, head, lo, hi, room, peak, open_):
     """_line_bounds' exponents on [lo, hi]: scalars, or columns of one per box."""
-    peak = table.counts[axis] * room / table.spread[axis]
     log_peak, idle_peak = _log0(np.concatenate((peak, room - peak))).reshape(2, *peak.shape)
     ends = (lo, hi, room - hi, (room - lo) * open_)
     log_lo, log_hi, idle_hi, idle_lo = _log0(np.concatenate(ends)).reshape(4, -1, 1)
@@ -362,7 +369,7 @@ def _line_bounds(s: Scenario, axis: int, fixed: float):
     computed once per line.
     """
     table = _terms(s)
-    room = (1.0 - fixed) + 2.0**-50
+    room, peak = _peak(table, axis, fixed)
     head = (table.log_coef + _log(fixed) * table.counts[1 - axis]) * (1.0 - _REL_SLACK)
     head += table.slack
 
@@ -370,7 +377,7 @@ def _line_bounds(s: Scenario, axis: int, fixed: float):
         # Where the kernel's idle probability is 0 at lo, it is 0 on the
         # whole run, and so is every term with idle users.
         idle_at_lo = (1.0 - lo) - fixed if axis == 0 else (1.0 - fixed) - lo
-        g = _clipped(table, axis, head, lo, hi, room, idle_at_lo > 0.0)
+        g = _clipped(table, axis, head, lo, hi, room, peak, idle_at_lo > 0.0)
         # the slack passes exp's range from m ~ 1e16 on: an inf bound still holds
         with np.errstate(over="ignore"):
             return np.exp(g, out=g) @ table.rate
@@ -390,7 +397,7 @@ def _box_bounds(s: Scenario, x0, x1, y0, y1):
     log_coef, (a, b, c), rate = table.log_coef, table.counts, table.rate
     x0, x1, y0, y1 = (v[:, None] for v in (x0, x1, y0, y1))
     head = (log_coef + _log0(y1) * b) * (1.0 - _REL_SLACK) + table.slack
-    g = _clipped(table, 0, head, x0, x1, (1.0 - y0) + 2.0**-50, (1.0 - x0) - y0 > 0.0)
+    g = _clipped(table, 0, head, x0, x1, *_peak(table, 0, y0), (1.0 - x0) - y0 > 0.0)
     first = np.add.reduce(np.exp(g, out=g) * rate, axis=1)
     xc, yc = (x0 + x1) / 2.0, (y0 + y1) / 2.0
     inside = (xc > 0.0) & (yc > 0.0) & ((1.0 - xc) - yc > 2.0**-500) & (xc + yc <= 1.0)
@@ -419,8 +426,7 @@ def _scan_line(s: Scenario, axis: int, fixed: float):
     it, so the line's maximum lies in [0, cap]."""
     table = _terms(s)
     budget = max(1, _BLOCK_ELEMENTS // max(1, table.log_coef.size))
-    peak = table.counts[axis] * ((1.0 - fixed) + 2.0**-50) / table.spread[axis]
-    cap = float(peak.max(initial=0.0))
+    cap = float(_peak(table, axis, fixed)[1].max(initial=0.0))
     return _line(s, axis, fixed), _line_bounds(s, axis, fixed), budget, cap
 
 

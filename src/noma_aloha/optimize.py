@@ -146,10 +146,10 @@ def _maximize_over(s: Scenario, axis: int, fixed: float):
     per-term peak, so the samples resolve the peak near tau = lambda / m at
     any m.  It is never below 2**-52 of the line, so a line has at most
     2**52 + 1 samples and their indices stay exact; at cap = 0 no term rises
-    along the line and the step is _GRID_STEP.  A line longer than one piece
-    of runs is scanned only up to cap and one sample past it, and one bound
-    on the tail rules the rest out when it is not above the best value:
-    every tail sample comes after the best one, so a tie there cannot win.  A tail not ruled out is
+    along the line and the step is _GRID_STEP.  The line is scanned up to
+    cap and one sample past it, and one bound on the tail rules the rest
+    out when it is not above the best value: every tail sample comes after
+    the best one, so a tie there cannot win.  A tail not ruled out is
     scanned in ranges of doubling length, the rest of the tail bounded
     before each.  The result is the full scan's, bit for bit."""
     if not 0.0 <= fixed <= 1.0:
@@ -158,8 +158,7 @@ def _maximize_over(s: Scenario, axis: int, fixed: float):
     hi = 1.0 - fixed
     step = min(_GRID_STEP, max(cap / 20.0, hi * 2.0**-52)) if cap > 0.0 else _GRID_STEP
     total, points = _grid(0.0, hi, step)
-    # a line of one piece of runs is bounded in one call: scan it whole
-    head = total if total <= budget * _INTERVAL else min(total, int(cap / step) + 2)
+    head = min(total, int(cap / step) + 2)
     x, fx = _scan(f, bounds, budget, head, points)
     a, n = head, head
     while a < total and not bounds(points(np.array([a])), points(np.array([total - 1])))[0] <= fx:

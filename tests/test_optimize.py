@@ -384,8 +384,7 @@ def coarse_grid(cap, hi):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestCoarseStep:
     """The coarse step follows the line's largest per-term peak, and the
-    scan of the samples up to it, with the tail bounded, is the full scan.
-    A line of at most one piece of runs is scanned whole."""
+    scan of the samples up to it, with the tail bounded, is the full scan."""
 
     @given(
         st.one_of(
@@ -396,7 +395,7 @@ class TestCoarseStep:
         st.sampled_from([0, 1]),
         FIXED,
         # an element budget, or None for the line's own: a small one makes
-        # pieces of runs shorter than the line, so its tail is bounded
+        # pieces of runs shorter than the line
         st.sampled_from([1, 3, None]),
     )
     @settings(max_examples=150, deadline=None)
@@ -463,9 +462,8 @@ class TestCoarseStep:
         ids=["m1e3", "m1e5", "m1e9", "zero-line"],
     )
     def test_cost_does_not_grow_with_m(self, s, monkeypatch):
-        # 968 kernel points at m = 1e3, where every line is scanned whole,
-        # about 840 from m = 1e5 on and 152 at the zero line; a coarse step
-        # of 1e-3 misses the optimum at large m
+        # about 840 kernel points at every m and 152 at the zero line; a
+        # coarse step of 1e-3 misses the optimum at large m
         calls = TestElementBudget.spy(monkeypatch)
         res = coordinate_ascent(s)
         assert sum(size for kind, size, _ in calls if kind == "points") <= 1200
