@@ -27,6 +27,7 @@ from .model import (
     PowerProfile,
     Scenario,
     _baseline_throughput,
+    _table_floor,
     average_throughput,
     baseline_optimum,
     baseline_success,
@@ -156,6 +157,8 @@ def _checked(build, **kwargs):
 def _scenario(cfg: ExperimentConfig) -> Scenario:
     s = _checked(Scenario, m=cfg.m, v1=cfg.v1, v2=cfg.v2, gamma=cfg.gamma)
     terms = s.m * (s.m + 1)  # at most a term per pair of each layer's region
+    if terms > MAX_TABLE_TERMS and (floor := _table_floor(s)) > MAX_TABLE_TERMS:
+        raise ConfigError(f"model table has at least {floor} terms, more than {MAX_TABLE_TERMS}")
     if terms > MAX_TABLE_TERMS:  # count them from the caps
         b = region_bounds(s)
         terms = sum(b.low_max_given_high + b.high_max_given_low, b.high_max + b.low_max)

@@ -51,7 +51,8 @@ __all__ = [
 class Scenario:
     """Static network parameters.
 
-    m: number of contending users.
+    m: number of contending users, below 2**63 (the model table indexes
+    counts in int64).
     v1, v2: received SNR of the high / low power setting (v1 > v2 > 0).
     gamma: SINR decoding threshold, linear scale.
     """
@@ -64,6 +65,8 @@ class Scenario:
     def __post_init__(self):
         if not isinstance(self.m, int) or self.m < 1:
             raise ValueError("m must be a positive integer")
+        if self.m >= 2**63:
+            raise ValueError("m must be below 2**63")
         if not all(map(math.isfinite, (self.v1, self.v2, self.gamma))):
             raise ValueError("v1, v2 and gamma must be finite")
         if not self.v1 > self.v2 > 0.0:
@@ -164,6 +167,19 @@ def _count_up(ok, start: int, stop: int) -> int:
     return start - 1 + bisect.bisect_left(range(start, stop + 1), True, key=lambda k: not ok(k))
 
 
+def _layers(s: Scenario):
+    """Each layer's outer cap and its row caps: the high layer's largest n1
+    and the n2 cap of row n1, then the low layer's largest n2 and the n1
+    cap of row n2."""
+    m = s.m
+    return (
+        (_count_up(lambda n1: _high_ok(s, n1, 0), 1, m),
+         lambda n1: _count_up(lambda n2: _high_ok(s, n1, n2), 0, m - n1)),
+        (_count_up(lambda n2: _low_ok(s, 0, n2), 1, m),
+         lambda n2: _count_up(lambda n1: _low_ok(s, n1, n2), 0, m - n2)),
+    )
+
+
 @lru_cache(maxsize=8)
 def region_bounds(s: Scenario) -> RegionBounds:
     """Decodability bounds, used as summation limits.
@@ -175,18 +191,30 @@ def region_bounds(s: Scenario) -> RegionBounds:
     ``in_high_region`` / ``in_low_region`` equal the predicate on every
     pair.  A gamma equal to an SINR value decodes.
     """
-    m = s.m
-    high_max = _count_up(lambda n1: _high_ok(s, n1, 0), 1, m)
-    low_given_high = tuple(
-        _count_up(lambda n2: _high_ok(s, n1, n2), 0, m - n1)
-        for n1 in range(1, high_max + 1)
+    (high_max, high_row), (low_max, low_row) = _layers(s)
+    return RegionBounds(
+        high_max,
+        tuple(map(high_row, range(1, high_max + 1))),
+        low_max,
+        tuple(map(low_row, range(1, low_max + 1))),
     )
-    low_max = _count_up(lambda n2: _low_ok(s, 0, n2), 1, m)
-    high_given_low = tuple(
-        _count_up(lambda n1: _low_ok(s, n1, n2), 0, m - n2)
-        for n2 in range(1, low_max + 1)
-    )
-    return RegionBounds(high_max, low_given_high, low_max, high_given_low)
+
+
+def _table_floor(s: Scenario) -> int:
+    """A lower bound on the model table's size, one term per pair of each
+    layer's region, from O(log(m)**2) predicate calls.  A layer's row caps
+    never rise along its rows, so its first k rows hold at least
+    k * (cap_k + 1) terms; each layer gives the largest of these at k = its
+    outer cap, halved down to 1.  The table holds at most 2 * m.bit_length()
+    times this many terms."""
+    floor = 0
+    for k, row in _layers(s):
+        most = 0
+        while k:
+            most = max(most, k * (row(k) + 1))
+            k //= 2
+        floor += most
+    return floor
 
 
 # A line's element budget: each kernel call evaluates at most

@@ -19,9 +19,10 @@ the most points a kernel call evaluates and the most runs a bounds call
 bounds, so a scan holds bounded memory at any step.  A scan bounds its runs
 a piece of that many runs at a time, evaluates the piece's run with the
 largest bound first, then only the runs whose bound is not below the best
-value found.  A skipped sample lies strictly below that value and the kernel
-gives a point the same bits in any batch, so the argmax, its ties and every
-output bit are those of the full scan.
+value found.  A coarse scan goes past the line's largest per-term peak, in
+ranges of doubling length, only while a bound on the rest of the line lies
+above that value.  A skipped sample cannot win, and the kernel gives a point
+the same bits in any batch, so every output bit is the full scan's.
 """
 
 import math
@@ -87,14 +88,14 @@ def _grid(lo, hi, step):
 _INTERVAL = 32
 
 
-def _best(f, points, first, total, budget, best):
-    """(k, x, f(x)) of the first maximum of f over the samples in the runs
-    of _INTERVAL that start at the ascending ``first``, the last run of the
-    scan possibly shorter, from ``best`` on: a larger value wins, and an
-    equal one only at a smaller index, as np.argmax's first index.  f maps
-    an array of at most ``budget`` points to an array of values."""
+def _best(f, points, first, stop, budget, best):
+    """(k, x, f(x)) of the first maximum of f over the samples below
+    ``stop`` in the runs of _INTERVAL that start at the ascending ``first``,
+    from ``best`` on: a larger value wins, and an equal one only at a
+    smaller index, as np.argmax's first index.  f maps an array of at most
+    ``budget`` points to an array of values."""
     k = (first[:, None] + np.arange(_INTERVAL)).ravel()
-    k = k[k < total]
+    k = k[k < stop]
     best_k, best_x, best_f = best
     for a in range(0, k.size, budget):
         piece = k[a : a + budget]
@@ -106,34 +107,45 @@ def _best(f, points, first, total, budget, best):
     return best_k, best_x, best_f
 
 
-def _scan(f, bounds, budget, total, points):
-    """(x, f(x)) of the first maximum of f over ``total`` samples, where
-    ``points`` maps an ascending array of indices to the samples' floats, as
-    ``_grid`` returns them.
+def _scan(f, bounds, budget, total, points, head=None):
+    """(x, f(x)) of the first maximum of f over ``total`` samples, whose
+    floats ``points`` forms from an ascending array of indices, as _grid's.
 
     f maps an array of points to an array of values; ``bounds(lo, hi)``
-    bounds f from above on each run of _INTERVAL samples, given the arrays
-    of the runs' first and last points.  ``budget`` is the most points a
-    call of f takes and the most runs a call of bounds takes, so the scan
-    goes a piece of ``budget`` runs at a time.  In each piece, the run with
-    the largest bound is evaluated first, then every other run, each only if
-    its bound is not below the best value found so far; a piece of one run
-    is evaluated without a bound while nothing has been evaluated.  Ties
-    keep the first (smallest) sample, as np.argmax does.
-    """
+    bounds f from above on each run of samples, given the arrays of the
+    runs' first and last points.  ``budget`` is the most points a call of f
+    and the most runs a call of bounds takes.  The scan goes through the
+    ranges [0, head), [head, 2 head), [2 head, 4 head), ... (one range
+    without ``head``) a piece of ``budget`` runs of _INTERVAL samples at a
+    time.  A range's first piece also bounds the rest of the line; the scan
+    stops once that bound is not above the best value, which every later
+    sample follows.  A piece evaluates its run of largest bound first, then
+    each run bounded not below the best value (one run alone unbounded while
+    nothing is evaluated).  Ties keep the first sample, as np.argmax."""
     best = (-1, math.nan, -math.inf)
     per = budget * _INTERVAL
-    for a in range(0, total, per):
-        first = np.arange(a, min(a + per, total), _INTERVAL)
-        if first.size > 1 or best[2] > -math.inf:
-            b = bounds(points(first), points(np.minimum(first + (_INTERVAL - 1), total - 1)))
-            j = int(np.argmax(b))
-            if not b[j] < best[2]:
-                best = _best(f, points, first[j : j + 1], total, budget, best)
-            b[j] = -math.inf  # evaluated or ruled out
-            first = first[~(b < best[2])]
-        best = _best(f, points, first, total, budget, best)
-    return float(best[1]), float(best[2])
+    lo, hi = 0, min(head or total, total)
+    while True:
+        tail = hi < total  # the rest of the line takes a run's place in the first piece
+        for a in range(lo - tail * _INTERVAL, hi, per):
+            runs = np.arange(max(a, lo), min(a + per, hi), _INTERVAL)
+            ends = np.minimum(runs + (_INTERVAL - 1), hi - 1)
+            if a < lo:
+                runs, ends = np.append(runs, hi), np.append(ends, total - 1)
+            if runs.size > 1 or best[2] > -math.inf or a < lo:
+                b = bounds(points(runs), points(ends))
+                if a < lo:  # bounded, and never evaluated here
+                    rest, runs, b = b[-1], runs[:-1], b[:-1]
+                if b.size:
+                    j = int(np.argmax(b))
+                    if not b[j] < best[2]:
+                        best = _best(f, points, runs[j : j + 1], hi, budget, best)
+                    b[j] = -math.inf  # evaluated or ruled out
+                    runs = runs[~(b < best[2])]
+            best = _best(f, points, runs, hi, budget, best)
+        if not tail or rest <= best[2]:
+            return float(best[1]), float(best[2])
+        lo, hi = hi, min(total, 2 * hi)
 
 
 def _maximize_over(s: Scenario, axis: int, fixed: float):
@@ -146,27 +158,15 @@ def _maximize_over(s: Scenario, axis: int, fixed: float):
     per-term peak, so the samples resolve the peak near tau = lambda / m at
     any m.  It is never below 2**-52 of the line, so a line has at most
     2**52 + 1 samples and their indices stay exact; at cap = 0 no term rises
-    along the line and the step is _GRID_STEP.  The line is scanned up to
-    cap and one sample past it, and one bound on the tail rules the rest
-    out when it is not above the best value: every tail sample comes after
-    the best one, so a tie there cannot win.  A tail not ruled out is
-    scanned in ranges of doubling length, the rest of the tail bounded
-    before each.  The result is the full scan's, bit for bit."""
+    along the line and the step is _GRID_STEP.  The coarse scan's head runs
+    to cap and one sample past it; its result is the full scan's."""
     if not 0.0 <= fixed <= 1.0:
         raise ValueError(f"{('tau2', 'tau1')[axis]} must lie in [0, 1]")
     f, bounds, budget, cap = _scan_line(s, axis, fixed)
     hi = 1.0 - fixed
     step = min(_GRID_STEP, max(cap / 20.0, hi * 2.0**-52)) if cap > 0.0 else _GRID_STEP
     total, points = _grid(0.0, hi, step)
-    head = min(total, int(cap / step) + 2)
-    x, fx = _scan(f, bounds, budget, head, points)
-    a, n = head, head
-    while a < total and not bounds(points(np.array([a])), points(np.array([total - 1])))[0] <= fx:
-        b = min(total, a + n)
-        x2, f2 = _scan(f, bounds, budget, b - a, lambda k, a=a: points(k + a))
-        if f2 > fx:
-            x, fx = x2, f2
-        a, n = b, 2 * n
+    x, fx = _scan(f, bounds, budget, total, points, int(cap / step) + 2)
     width = step
     for _ in range(_REFINE_ROUNDS):
         lo_r = max(0.0, x - width)

@@ -637,6 +637,49 @@ class TestTableCap:
         with pytest.raises(cli.ConfigError, match="more than"):
             cli._scenario(cli.ExperimentConfig(m=1000, gamma=1e-6))
 
+    def test_a_huge_table_exits_2_without_counting_every_cap(self, capsys, monkeypatch):
+        # at m = 1e5 and gamma = 1e-6 the table holds about 1e10 terms;
+        # counting its 2e5 row caps takes seconds, and a floor from a few
+        # rows rules it out
+        def fail(s):
+            raise AssertionError("every cap was counted")
+
+        monkeypatch.setattr(cli, "region_bounds", fail)
+        code, out, err = run_cli(["analyze", "--m", "100000", "--gamma", "1e-6"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "config error: model table has at least 5000100000 terms, more than 1000000\n"
+
+
+class TestPopulationLimit:
+    """The model table indexes counts in int64, so m must lie below 2**63:
+    every command that builds a scenario exits 2 at 2**63, before any work,
+    and runs at 2**63 - 1 (where the model's values have lost their
+    meaning, but no input is refused)."""
+
+    COMMANDS = [
+        ["analyze", "--gamma", "1.3"],
+        ["optimize", "--gamma", "1.3"],
+        ["simulate", "--gamma", "1.3", "--slots", "100", "--replications", "2"],
+        ["sweep", "--axis", "gamma", "--start", "1.3", "--stop", "1.3", "--step", "1"],
+    ]
+
+    @pytest.mark.parametrize("args", COMMANDS, ids=lambda args: args[0])
+    def test_m_at_2_to_the_63_exits_2(self, args, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("work started on a rejected m")
+
+        for name in ("region_bounds", "_table_floor", "coordinate_ascent", "run_simulation"):
+            monkeypatch.setattr(cli, name, fail)
+        for m in (2**63, 10**21):
+            code, out, err = run_cli(args + ["--m", str(m)], capsys)
+            assert (code, out) == (2, "")
+            assert err.startswith("config error: ") and err.endswith("m must be below 2**63\n")
+
+    @pytest.mark.parametrize("args", COMMANDS, ids=lambda args: args[0])
+    def test_m_below_2_to_the_63_runs(self, args, capsys):
+        code, out, _ = run_cli(args + ["--m", str(2**63 - 1)], capsys)
+        assert code == 0 and out
+
 
 class TestUnwritablePaths:
     """An output or trace path that cannot be written is a configuration

@@ -75,6 +75,13 @@ class TestTypes:
             with pytest.raises(ValueError):
                 Scenario(m=10, v1=v1, v2=v2, gamma=gamma)
 
+    def test_scenario_m_lies_below_2_to_the_63(self):
+        # the model table indexes counts in int64
+        assert Scenario(m=2**63 - 1, v1=4.0, v2=1.5, gamma=1.3).m == 2**63 - 1
+        for m in (2**63, 10**21):
+            with pytest.raises(ValueError, match="m must be below 2\\*\\*63"):
+                Scenario(m=m, v1=4.0, v2=1.5, gamma=1.3)
+
     def test_profile_rejects_bad_fields(self):
         with pytest.raises(ValueError):
             PowerProfile(-0.1, 0.2)
@@ -172,6 +179,42 @@ class TestFeasibility:
         limit = (b.high_max + b.low_max + 2) * (math.ceil(math.log2(s.m + 2)) + 1)
         assert limit == 13_222
         assert high_ok.call_count <= limit, high_ok.call_count
+
+    def test_table_floor_is_bisected(self):
+        # a floor on the table's size from O(log(m)**2) predicate calls:
+        # each layer bisects its outer cap and the row caps at that cap,
+        # halved down to 1; region_bounds bisects all 2e5 row caps here
+        s = Scenario(100_000, 4.0, 1.5, 1e-6)
+        with mock.patch.object(model, "_high_ok", wraps=model._high_ok) as high_ok:
+            with mock.patch.object(model, "_low_ok", wraps=model._low_ok) as low_ok:
+                assert model._table_floor(s) == 5_000_100_000
+        limit = (s.m.bit_length() + 1) * (math.ceil(math.log2(s.m + 2)) + 1)
+        assert limit == 324
+        assert low_ok.call_count <= limit, low_ok.call_count
+        # _low_ok calls _high_ok too
+        assert high_ok.call_count <= 2 * limit, high_ok.call_count
+
+    @given(
+        st.one_of(
+            scenarios(),
+            st.builds(
+                lambda m, v1, ratio, log_gamma: Scenario(m, v1, v1 * ratio, math.exp(log_gamma)),
+                st.integers(1, 400),
+                st.floats(0.5, 20.0),
+                st.floats(0.01, 0.99),
+                st.floats(-9.0, 2.0),
+            ),
+        )
+    )
+    @settings(deadline=None)
+    def test_table_floor_brackets_the_table(self, s):
+        # row caps never rise, so a layer's rows between k // 2 and k hold
+        # at most 2 * (k // 2) * (cap_{k // 2} + 1) terms: the table lies
+        # within 2 * m.bit_length() times the floor
+        b = region_bounds(s)
+        terms = sum(b.low_max_given_high + b.high_max_given_low, b.high_max + b.low_max)
+        floor = model._table_floor(s)
+        assert floor <= terms <= 2 * s.m.bit_length() * floor
 
     @given(scenarios())
     def test_bound_maps_nonincreasing(self, s):

@@ -421,24 +421,56 @@ class TestCoarseStep:
     def test_a_tail_not_ruled_out_is_scanned_in_doubling_ranges(self, s, monkeypatch):
         # under bounds that rule nothing out, every sample is evaluated, the
         # samples up to the cap first, then ranges of doubling length; at a
-        # budget of 2, a piece of runs (64 samples) is shorter than the line
+        # budget of 2, a piece of runs (64 samples) is shorter than the line.
+        # Each range but the last bounds the rest of the line, from the
+        # range's end to the last sample, in its first call
         f, _, _, cap = model._scan_line(s, 1, 0.0)
         step, total, points = coarse_grid(cap, 1.0)
         head = int(cap / step) + 2
         assert total > 64
-        sizes, real = [], optimize._scan
+        xs = points(np.arange(total))
+        calls = []
 
-        def scan(f, bounds, budget, count, points):
-            sizes.append(count)
-            return real(f, bounds, budget, count, points)
+        def bounds(lo, hi):
+            calls.append((np.searchsorted(xs, lo).tolist(), np.searchsorted(xs, hi).tolist()))
+            return never_prune(lo, hi)
 
-        monkeypatch.setattr(optimize, "_scan_line", lambda *line: (f, never_prune, 2, cap))
-        monkeypatch.setattr(optimize, "_scan", scan)
+        monkeypatch.setattr(optimize, "_scan_line", lambda *line: (f, bounds, 2, cap))
         monkeypatch.setattr(optimize, "_REFINE_ROUNDS", 0)
         got = maximize_over(s, 1, 0.0)
         assert got == exhaustive_scan(f, total, points)
+        # the last call bounds the line's last run; every other call that
+        # reaches the last sample is a range's first
+        assert calls[-1][1][-1] == total - 1
+        firsts = [lo for lo, hi in calls[:-1] if hi[-1] == total - 1]
+        ends = [0] + [lo[-1] for lo in firsts] + [total]
+        assert [lo[0] for lo in firsts] == ends[:-2]
+        sizes = np.diff(ends).tolist()
         assert sizes[:4] == [head, head, 2 * head, 4 * head]
         assert sum(sizes) == total and sizes[-1] <= 2 * sizes[-2]
+
+    @pytest.mark.parametrize(
+        "scenarios, most_bounds, most_points",
+        [
+            # the twelve gammas of PINNED
+            ([Scenario(50, 20.0, 2.0, round(0.173 + 0.13 * k, 3)) for k in range(12)], 143, 12_183),
+            ([Scenario(10**15, 4.0, 1.5, 1.3)], 56, 2_643),
+        ],
+        ids=["sweep", "m1e15"],
+    )
+    def test_the_rest_of_a_line_costs_no_bounds_call_of_its_own(
+        self, scenarios, most_bounds, most_points, monkeypatch
+    ):
+        # the head's first bounds call bounds the rest of the line too, so
+        # the rest costs no call of its own: 143 bounds calls at the twelve
+        # sweep gammas, as many as scans of whole lines make.  At m = 1e15
+        # the bounds' slack lets the rest be scanned in ranges, and each
+        # range prunes against the best value found before it
+        calls = TestElementBudget.spy(monkeypatch)
+        for s in scenarios:
+            coordinate_ascent(s)
+        assert sum(kind == "runs" for kind, _, _ in calls) <= most_bounds
+        assert sum(size for kind, size, _ in calls if kind == "points") <= most_points
 
     def test_a_line_of_zeros_rules_its_tail_out(self, monkeypatch):
         # tau1 = 0 and the low layer never decodes (v2 < gamma): the
