@@ -171,14 +171,8 @@ def _profile(cfg: ExperimentConfig) -> PowerProfile:
     return _checked(PowerProfile, tau1=cfg.tau1, tau2=cfg.tau2)
 
 
-def _sim_config(cfg: ExperimentConfig, estimator: str) -> SimConfig:
-    return _checked(
-        SimConfig,
-        slots=cfg.slots,
-        seed=cfg.seed,
-        replications=cfg.replications,
-        success_estimator=estimator,
-    )
+def _sim_config(cfg: ExperimentConfig) -> SimConfig:
+    return _checked(SimConfig, slots=cfg.slots, seed=cfg.seed, replications=cfg.replications)
 
 
 # ---------------------------------------------------------------------------
@@ -210,8 +204,6 @@ def _rows_to_csv(rows: list[dict]) -> str:
 
 
 def _emit(rows: list[dict], cfg: ExperimentConfig):
-    if not rows:
-        raise ConfigError("nothing to output")
     if cfg.format == "csv":
         text = _rows_to_csv(rows)
     else:
@@ -313,7 +305,7 @@ def cmd_simulate(args) -> int:
     cfg = build_config(args)
     s = _scenario(cfg)
     prof = _profile(cfg)
-    scfg = _sim_config(cfg, args.estimator)
+    scfg = _sim_config(cfg)
     stats = run_simulation(s, prof, scfg, trace_path=args.trace_file)
     p = success_probability(s, prof)
     th = average_throughput(s, prof)
@@ -400,7 +392,7 @@ def cmd_sweep(args) -> int:
     if cfg.axis == "p_baseline" and (args.simulate or args.optimize):
         raise ConfigError("axis p_baseline supports neither --simulate nor --optimize")
     points = [_sweep_point(cfg, v) for v in values]  # validate all before output
-    scfg = _sim_config(cfg, args.estimator) if args.simulate else None
+    scfg = _sim_config(cfg) if args.simulate else None
     rows = []
     for value, (s, prof) in zip(values, points):
         if cfg.axis == "p_baseline":
@@ -449,12 +441,6 @@ def _add_sim_args(p: argparse.ArgumentParser):
     p.add_argument("--slots", type=int, help="slots per replication")
     p.add_argument("--seed", type=int, help="simulation seed")
     p.add_argument("--replications", type=int, help="independent replications")
-    p.add_argument(
-        "--estimator",
-        choices=("tagged", "all-users"),
-        default="tagged",
-        help="success-probability estimator",
-    )
 
 
 def _add_output_args(p: argparse.ArgumentParser):

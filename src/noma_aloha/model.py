@@ -426,7 +426,8 @@ def _box_bounds(s: Scenario, x0, x1, y0, y1):
     x0, x1, y0, y1 = (v[:, None] for v in (x0, x1, y0, y1))
     head = (log_coef + _log0(y1) * b) * (1.0 - _REL_SLACK) + table.slack
     g = _clipped(table, 0, head, x0, x1, *_peak(table, 0, y0), (1.0 - x0) - y0 > 0.0)
-    first = np.add.reduce(np.exp(g, out=g) * rate, axis=1)
+    with np.errstate(over="ignore"):  # as in _line_bounds: an inf bound still holds
+        first = np.add.reduce(np.exp(g, out=g) * rate, axis=1)
     xc, yc = (x0 + x1) / 2.0, (y0 + y1) / 2.0
     inside = (xc > 0.0) & (yc > 0.0) & ((1.0 - xc) - yc > 2.0**-500) & (xc + yc <= 1.0)
     xc, yc, u = (np.where(inside, v, 1.0 / 3.0) for v in (xc, yc, (1.0 - xc) - yc))

@@ -24,8 +24,7 @@ number's leading zeros.
 """
 
 import math
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -63,7 +62,6 @@ class SimConfig:
     slots: int
     seed: int
     replications: int = 1
-    success_estimator: str = "tagged"  # or "all-users"
 
     def __post_init__(self):
         if self.slots < 1:
@@ -72,8 +70,6 @@ class SimConfig:
             raise ValueError("replications must be at least 1")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must be an unsigned 64-bit integer")
-        if self.success_estimator not in ("tagged", "all-users"):
-            raise ValueError("success_estimator must be 'tagged' or 'all-users'")
 
 
 @dataclass
@@ -84,9 +80,6 @@ class SimStats:
     throughput_hat: float
     stderr_p: float
     stderr_th: float
-    slots_run: int
-    # slots per (n1, n2) count pair seen; unseen pairs read 0
-    pair_counts: Counter | None = field(default=None, repr=False, compare=False)
 
 
 def sic_decode(s: Scenario, n1: int, n2: int) -> SlotOutcome:
@@ -207,8 +200,8 @@ def run_simulation(
     Binomial(m - 1 - n1, tau2 / (1 - tau1)).  Each generator is consumed in
     slot order, so the draws do not depend on the chunk size, replications
     are independent streams, and the whole run is reproducible bit for bit.
-    The success estimator follows the tagged user by default (all users are
-    exchangeable); "all-users" averages over the population instead.
+    The success estimate follows the tagged user (all users are
+    exchangeable).
     ``trace_path`` optionally receives one CSV record per simulated slot
     (slot index restarts at 0 in each replication; replications are written
     back to back).
@@ -220,7 +213,6 @@ def run_simulation(
     others = s.m - 1
     p_reps = np.empty(cfg.replications)
     th_reps = np.empty(cfg.replications)
-    pair_counts = Counter()
 
     trace_file = None
     if trace_path is not None:
@@ -255,29 +247,18 @@ def run_simulation(
                     seen = np.flatnonzero(freq)
                     # a pair's id is the number of drawn keys below its own
                     pos = (np.cumsum(freq > 0, dtype=np.int32) - 1)[keys]
-                    freq = freq[seen]
                     pairs = [divmod(k, width) for k in seen.tolist()]
                 else:
                     # else the sorted (n1, n2) rows, which no key can overflow
-                    rows, pos, freq = np.unique(
-                        np.stack((n1, n2), axis=1),
-                        axis=0, return_inverse=True, return_counts=True,
+                    rows, pos = np.unique(
+                        np.stack((n1, n2), axis=1), axis=0, return_inverse=True
                     )
                     pairs = [tuple(row) for row in rows.tolist()]
                     pos = pos.reshape(-1)
                 high, low, rate = _decode_drawn(s, pairs)
-                slot_high = high.take(pos)
-                slot_low = low.take(pos)
-                if cfg.success_estimator == "tagged":
-                    success_total += np.count_nonzero(
-                        (tag_high & slot_high) | (tag_low & slot_low)
-                    )
-                else:
-                    success_total += float(
-                        np.sum(n1 * slot_high + n2 * slot_low)
-                    ) / s.m
+                success = (tag_high & high.take(pos)) | (tag_low & low.take(pos))
+                success_total += np.count_nonzero(success)
                 rate_total += float(rate.take(pos).sum())
-                pair_counts.update(dict(zip(pairs, freq.tolist())))
                 if trace_file is not None:
                     outcomes = zip(high.tolist(), low.tolist(), rate.tolist())
                     tails = [_trace_suffix(*pair, *out) for pair, out in zip(pairs, outcomes)]
@@ -300,6 +281,4 @@ def run_simulation(
         throughput_hat=float(np.mean(th_reps)),
         stderr_p=stderr_p,
         stderr_th=stderr_th,
-        slots_run=cfg.slots * cfg.replications,
-        pair_counts=pair_counts,
     )

@@ -6,6 +6,7 @@ not from the model's region.  Also the random and SINR-boundary scenarios
 they are checked on."""
 
 import math
+from collections import Counter
 from math import comb
 
 import numpy as np
@@ -27,6 +28,13 @@ from noma_aloha.simulate import sic_decode
 def all_pairs(m):
     """Every (n1, n2) with n1 + n2 <= m."""
     return [(n1, n2) for n1 in range(m + 1) for n2 in range(m + 1 - n1)]
+
+
+def trace_tally(path):
+    """Slots per (n1, n2) count pair in a simulator trace file, read from
+    its n1 and n2 columns."""
+    counts = np.loadtxt(path, np.int64, delimiter=",", skiprows=1, usecols=(1, 2), ndmin=2)
+    return Counter(zip(*counts.T.tolist()))
 
 
 def trinomial_pmf(m, n1, n2, tau1, tau2):

@@ -22,7 +22,7 @@ from noma_aloha.model import (
     success_probability,
 )
 from noma_aloha.simulate import SimConfig, run_simulation, sic_decode
-from support import boundary_scenarios, random_scenario
+from support import boundary_scenarios, random_scenario, trace_tally
 
 
 def run_cli(args, capsys):
@@ -364,6 +364,20 @@ class TestSimulate:
             rows = list(csv.reader(fh))
         assert rows[0] == ["slot", "n1", "n2", "high_decoded", "low_decoded", "sum_rate"]
         assert len(rows) == 33
+
+    @pytest.mark.parametrize("command", [
+        ["simulate"],
+        ["sweep", "--axis", "m", "--start", "2", "--stop", "4", "--step", "1", "--simulate"],
+    ], ids=["simulate", "sweep"])
+    def test_estimator_flag_is_gone(self, command, capsys):
+        # the success rate follows one tagged user: the parser refuses the
+        # flag before any work
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--estimator", "all-users"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "unrecognized arguments: --estimator all-users" in err
 
 
 class TestSweep:
@@ -835,7 +849,7 @@ class TestDeterminism:
         traced = run_simulation(s, prof, cfg, trace_path=tmp_path / "trace.csv")
         untraced = run_simulation(s, prof, cfg)
         assert traced == untraced
-        assert traced.pair_counts == untraced.pair_counts
+        assert trace_tally(tmp_path / "trace.csv").total() == 90_000
 
     # sha256 of the --output bytes: the seed-13 optimize-sweep workload,
     # recorded before the kernel evaluated lines, and the certificate

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -784,6 +785,18 @@ class TestBoxBounds:
         for a in range(0, 64, 7):
             part = model._box_bounds(s, x0[a : a + 7], x1[a : a + 7], y0[a : a + 7], y1[a : a + 7])
             assert [v.tolist() for v in part] == [v[a : a + 7].tolist() for v in whole]
+
+    def test_a_first_order_bound_past_exps_range_is_inf_without_a_warning(self):
+        # T = 210 157: on the root box the first-order exponents pass exp's
+        # range, and an inf bound still holds
+        s = Scenario(1104, 15.175390072319463, 5.748560858668094, 0.0031919276610137106)
+        root = [np.array([v]) for v in (0.0, 1.0, 0.0, 1.0)]
+        strict = model._box_bounds(s, *root)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            loose = model._box_bounds(s, *root)
+        assert [v.tolist() for v in strict] == [v.tolist() for v in loose]
+        assert strict[0].tolist() == [math.inf]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

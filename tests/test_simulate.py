@@ -10,6 +10,7 @@ import io
 import math
 import tracemalloc
 from collections import Counter
+from dataclasses import fields
 from unittest import mock
 
 import numpy as np
@@ -31,6 +32,7 @@ from support import (
     random_profile,
     random_scenario,
     table_rates,
+    trace_tally,
     trinomial_pmf,
 )
 
@@ -85,14 +87,9 @@ def chunked_reference(s, prof, cfg, chunk):
             tag_high, tag_low, n1, n2 = draw_slots(
                 streams, prof, s.m, min(chunk, cfg.slots - done)
             )
-            if cfg.success_estimator == "tagged":
-                success_total += np.count_nonzero(
-                    (tag_high & high_tab[n1, n2]) | (tag_low & low_tab[n1, n2])
-                )
-            else:
-                success_total += float(
-                    np.sum(n1 * high_tab[n1, n2] + n2 * low_tab[n1, n2])
-                ) / s.m
+            success_total += np.count_nonzero(
+                (tag_high & high_tab[n1, n2]) | (tag_low & low_tab[n1, n2])
+            )
             rate_total += float(rate_tab[n1, n2].sum())
             counts.update(zip(n1.tolist(), n2.tolist()))
         p_reps.append(success_total / cfg.slots)
@@ -103,7 +100,6 @@ def chunked_reference(s, prof, cfg, chunk):
         throughput_hat=float(np.mean(th_reps)),
         stderr_p=float(np.std(p_reps, ddof=1) / root_r),
         stderr_th=float(np.std(th_reps, ddof=1) / root_r),
-        slots_run=cfg.slots * cfg.replications,
     )
     return stats, counts
 
@@ -219,7 +215,7 @@ class TestDrawnPairDecoding:
         assert path.read_bytes() == csv_trace(s, self.PROF, self.CFG), s
         want, want_counts = chunked_reference(s, self.PROF, self.CFG, chunk=300)
         assert stats == want, s
-        assert stats.pair_counts == want_counts, s
+        assert trace_tally(path) == want_counts, s
 
     def test_matches_references_on_random_scenarios(self, tmp_path):
         rng = np.random.default_rng(404)
@@ -232,13 +228,15 @@ class TestDrawnPairDecoding:
     def test_matches_references_on_sinr_boundaries(self, tmp_path_factory, s):
         self.assert_matches_references(s, tmp_path_factory.mktemp("trace") / "trace.csv")
 
-    def test_each_chunk_decodes_only_its_drawn_pairs_once(self, monkeypatch):
+    def test_each_chunk_decodes_only_its_drawn_pairs_once(self, tmp_path, monkeypatch):
         # 2 500 slots in chunks of 700, two replications: eight chunks
         cfg = SimConfig(slots=2_500, seed=73, replications=2)
         prof = PowerProfile(0.2, 0.15)
         monkeypatch.setattr(simulate, "_CHUNK_SLOTS", 700)
         chunks = spy_decoder(monkeypatch)
-        stats = run_simulation(WIDE, prof, cfg)
+        path = tmp_path / "trace.csv"
+        run_simulation(WIDE, prof, cfg, trace_path=path)
+        tally = trace_tally(path)
         assert len(chunks) == 8
         for rep in range(cfg.replications):
             _, _, n1s, n2s = draw_slots(replication_streams(cfg.seed, rep), prof, WIDE.m, cfg.slots)
@@ -247,9 +245,9 @@ class TestDrawnPairDecoding:
                 drawn = set(zip(n1s[lo : lo + 700].tolist(), n2s[lo : lo + 700].tolist()))
                 assert len(set(calls)) == len(calls), (rep, k)
                 assert set(calls) <= drawn, (rep, k)
-                assert all(pair in stats.pair_counts for pair in calls)
+                assert all(pair in tally for pair in calls)
 
-    def test_low_gamma_decodes_no_more_pairs_than_it_draws(self, monkeypatch):
+    def test_low_gamma_decodes_no_more_pairs_than_it_draws(self, tmp_path, monkeypatch):
         # the decodable region here holds tens of thousands of pairs, and a
         # run at tau = 0.01 draws about a hundred of them
         s = Scenario(m=300, v1=4.0, v2=1.5, gamma=1e-3)
@@ -260,8 +258,10 @@ class TestDrawnPairDecoding:
             return sic_decode(s, n1, n2)
 
         monkeypatch.setattr(simulate, "sic_decode", counted)
-        stats = run_simulation(s, PowerProfile(0.01, 0.01), SimConfig(slots=20_000, seed=79))
-        assert len(calls) <= len(stats.pair_counts)
+        path = tmp_path / "trace.csv"
+        cfg = SimConfig(slots=20_000, seed=79)
+        run_simulation(s, PowerProfile(0.01, 0.01), cfg, trace_path=path)
+        assert len(calls) <= len(trace_tally(path))
 
 
 class TestSimConfig:
@@ -272,8 +272,14 @@ class TestSimConfig:
             SimConfig(slots=10, seed=1, replications=0)
         with pytest.raises(ValueError):
             SimConfig(slots=10, seed=-1)
-        with pytest.raises(ValueError):
-            SimConfig(slots=10, seed=1, success_estimator="median")
+
+    def test_field_names(self):
+        # the config holds what a run reads and the stats what callers read:
+        # the per-pair tallies live in the trace file
+        assert [f.name for f in fields(SimConfig)] == ["slots", "seed", "replications"]
+        assert [f.name for f in fields(SimStats)] == [
+            "p_success_hat", "throughput_hat", "stderr_p", "stderr_th"
+        ]
 
 
 class TestRunSimulation:
@@ -293,15 +299,15 @@ class TestRunSimulation:
         assert stats.p_success_hat == 1.0
         assert stats.stderr_th == 0.0
 
-    def test_seed_determinism(self):
+    def test_seed_determinism(self, tmp_path):
         cfg = SimConfig(slots=20_000, seed=99, replications=3)
         prof = PowerProfile(0.15, 0.1)
-        a = run_simulation(DEFAULTS, prof, cfg)
-        b = run_simulation(DEFAULTS, prof, cfg)
+        a = run_simulation(DEFAULTS, prof, cfg, trace_path=tmp_path / "a.csv")
+        b = run_simulation(DEFAULTS, prof, cfg, trace_path=tmp_path / "b.csv")
         assert a.p_success_hat == b.p_success_hat
         assert a.throughput_hat == b.throughput_hat
         assert a.stderr_p == b.stderr_p
-        assert a.pair_counts == b.pair_counts
+        assert trace_tally(tmp_path / "a.csv") == trace_tally(tmp_path / "b.csv")
 
     def test_different_seeds_differ(self):
         prof = PowerProfile(0.15, 0.1)
@@ -352,79 +358,70 @@ class TestRunSimulation:
             assert abs(stats.p_success_hat - p) <= 3.0 * stats.stderr_p, (s, prof)
             assert abs(stats.throughput_hat - th) <= 3.0 * stats.stderr_th, (s, prof)
 
-    def test_all_users_estimator_agrees(self):
-        prof = PowerProfile(0.1, 0.1)
-        stats = run_simulation(
-            DEFAULTS,
-            prof,
-            SimConfig(slots=100_000, seed=5, replications=8, success_estimator="all-users"),
-        )
-        p = success_probability(DEFAULTS, prof)
-        assert abs(stats.p_success_hat - p) <= 3.0 * stats.stderr_p
-
-    @pytest.mark.parametrize("estimator", ["tagged", "all-users"])
-    def test_reused_chunk_buffers_match_fresh_arrays(self, monkeypatch, estimator):
+    def test_reused_chunk_buffers_match_fresh_arrays(self, tmp_path, monkeypatch):
         # 2 500 slots in chunks of 700: three full chunks and a short one
-        cfg = SimConfig(slots=2_500, seed=41, replications=3, success_estimator=estimator)
+        cfg = SimConfig(slots=2_500, seed=41, replications=3)
         prof = PowerProfile(0.2, 0.15)
         monkeypatch.setattr(simulate, "_CHUNK_SLOTS", 700)
-        stats = run_simulation(WIDE, prof, cfg)
+        path = tmp_path / "trace.csv"
+        stats = run_simulation(WIDE, prof, cfg, trace_path=path)
         want, want_counts = chunked_reference(WIDE, prof, cfg, chunk=700)
         assert stats == want
-        assert stats.pair_counts == want_counts
+        assert trace_tally(path) == want_counts
         # chunking does not change the draws
         _, unchunked_counts = chunked_reference(WIDE, prof, cfg, chunk=cfg.slots)
-        assert stats.pair_counts == unchunked_counts
+        assert trace_tally(path) == unchunked_counts
 
-    def test_pair_counts_cover_all_slots(self):
+    def test_pair_counts_cover_all_slots(self, tmp_path):
         cfg = SimConfig(slots=7_500, seed=13, replications=2)
-        stats = run_simulation(DEFAULTS, PowerProfile(0.3, 0.2), cfg)
-        assert stats.pair_counts.total() == stats.slots_run == 15_000
+        path = tmp_path / "trace.csv"
+        run_simulation(DEFAULTS, PowerProfile(0.3, 0.2), cfg, trace_path=path)
+        assert trace_tally(path).total() == 15_000
 
     @pytest.mark.parametrize(
         "tau1, tau2",
         # 1 - tau1 == 0; tau2 / (1 - tau1) rounds to 1.0000000000000002; idle 0
         [(1.0, 0.0), (0.9, 0.1), (0.1, 0.9)],
     )
-    def test_simplex_edge_profiles_leave_nobody_idle(self, tau1, tau2):
+    def test_simplex_edge_profiles_leave_nobody_idle(self, tmp_path, tau1, tau2):
         cfg = SimConfig(slots=5_000, seed=23, replications=2)
-        stats = run_simulation(WIDE, PowerProfile(tau1, tau2), cfg)
-        assert stats.pair_counts.total() == stats.slots_run
-        assert all(n1 + n2 == WIDE.m for n1, n2 in stats.pair_counts)
+        path = tmp_path / "trace.csv"
+        run_simulation(WIDE, PowerProfile(tau1, tau2), cfg, trace_path=path)
+        tally = trace_tally(path)
+        assert tally.total() == 10_000
+        assert all(n1 + n2 == WIDE.m for n1, n2 in tally)
 
     def test_large_population_matches_analytics_within_three_sigma(self):
         # m = 1e5 with one expected transmitter per power level and slot; the
-        # tagged estimator sees about four successes in all, the all-users
-        # estimator about 2e5
+        # tagged user sees about four successes in all
         s = Scenario(m=100_000, v1=4.0, v2=1.5, gamma=1.3)
         prof = PowerProfile(1e-5, 1e-5)
         p = success_probability(s, prof)
         th = average_throughput(s, prof)
-        for estimator in ("tagged", "all-users"):
-            cfg = SimConfig(
-                slots=100_000, seed=2026, replications=8, success_estimator=estimator
-            )
-            tracemalloc.start()
-            try:
-                stats = run_simulation(s, prof, cfg)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < 24 * 2**20, (estimator, peak)
-            assert abs(stats.p_success_hat - p) <= 3.0 * stats.stderr_p, estimator
-            assert abs(stats.throughput_hat - th) <= 3.0 * stats.stderr_th, estimator
+        cfg = SimConfig(slots=100_000, seed=2026, replications=8)
+        tracemalloc.start()
+        try:
+            stats = run_simulation(s, prof, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20, peak
+        assert abs(stats.p_success_hat - p) <= 3.0 * stats.stderr_p
+        assert abs(stats.throughput_hat - th) <= 3.0 * stats.stderr_th
 
-    def test_empirical_frequencies_match_pmf(self):
+    def test_empirical_frequencies_match_pmf(self, tmp_path):
         # cells with expected count >= 10; chi-square style screen
         prof = PowerProfile(0.1, 0.1)
         cfg = SimConfig(slots=200_000, seed=17, replications=5)
-        stats = run_simulation(DEFAULTS, prof, cfg)
-        n = stats.slots_run
+        path = tmp_path / "trace.csv"
+        run_simulation(DEFAULTS, prof, cfg, trace_path=path)
+        tally = trace_tally(path)
+        n = cfg.slots * cfg.replications
         for n1, n2 in all_pairs(DEFAULTS.m):
             p = trinomial_pmf(DEFAULTS.m, n1, n2, prof.tau1, prof.tau2)
             if n * p < 10.0:
                 continue
-            freq = stats.pair_counts[n1, n2] / n
+            freq = tally[n1, n2] / n
             sigma = math.sqrt(p * (1.0 - p) / n)
             assert abs(freq - p) <= 3.0 * sigma, (n1, n2)
 
@@ -583,7 +580,8 @@ class TestPairTally:
         cfg = SimConfig(slots=2_000, seed=53, replications=2)
         prof = PowerProfile(0.4, 0.4)
         calls = spy_tallies(monkeypatch)
-        by_table = run_simulation(WIDE, prof, cfg)
+        by_table = tmp_path / "by_table.csv"
+        run_simulation(WIDE, prof, cfg, trace_path=by_table)
         assert calls == {"bincount": 2}
         # keys reach 40 or more in every chunk of 30 slots
         monkeypatch.setattr(simulate, "_CHUNK_SLOTS", 30)
@@ -594,7 +592,7 @@ class TestPairTally:
         assert calls == {"unique": 2 * 2 * 67}
         assert traced == untraced
         # the chunk size moves the float sums' last bits, not the counts
-        assert untraced.pair_counts == traced.pair_counts == by_table.pair_counts
+        assert trace_tally(path) == trace_tally(by_table)
         assert path.read_bytes() == csv_trace(WIDE, prof, cfg)
 
     def test_wide_keys_take_the_sort_without_a_key_sized_table(self, tmp_path, monkeypatch):
@@ -602,30 +600,31 @@ class TestPairTally:
         s = Scenario(m=100_000, v1=4.0, v2=1.5, gamma=1.3)
         cfg = SimConfig(slots=5_000, seed=61)
         calls = spy_tallies(monkeypatch, refuse=("bincount",))
-        for trace_path in (None, tmp_path / "trace.csv"):
+        path = tmp_path / "trace.csv"
+        for trace_path in (None, path):
             tracemalloc.start()
             try:
-                stats = run_simulation(s, PowerProfile(0.3, 0.3), cfg, trace_path=trace_path)
+                run_simulation(s, PowerProfile(0.3, 0.3), cfg, trace_path=trace_path)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            # mostly the Counter of 5 000 pairs, about 1.2 MB
             assert peak < 8 * 2**20, (trace_path, peak)
-            assert stats.pair_counts.total() == cfg.slots
         assert calls == {"unique": 2}
+        assert trace_tally(path).total() == cfg.slots
 
     @pytest.mark.parametrize("m", [2 * 10**10, 4 * 10**18])
-    def test_huge_populations_tally_the_pairs_they_draw(self, m, monkeypatch):
+    def test_huge_populations_tally_the_pairs_they_draw(self, m, tmp_path, monkeypatch):
         # n1 * width + n2 overflows int64 at both m, so the (n1, n2) rows
         # are sorted instead
         prof = PowerProfile(0.5, 0.3)
         cfg = SimConfig(slots=1_000, seed=3, replications=2)
         calls = spy_tallies(monkeypatch, refuse=("bincount",))
-        stats = run_simulation(Scenario(m, 4.0, 1.5, 1.5), prof, cfg)
+        path = tmp_path / "trace.csv"
+        run_simulation(Scenario(m, 4.0, 1.5, 1.5), prof, cfg, trace_path=path)
         assert calls == {"unique": 2}
         want = Counter()
         for rep in range(cfg.replications):
             _, _, n1, n2 = draw_slots(replication_streams(cfg.seed, rep), prof, m, cfg.slots)
             want.update(zip(n1.tolist(), n2.tolist()))
-        assert stats.pair_counts == want
+        assert trace_tally(path) == want
         assert min(n1 for n1, _ in want) > 0.49 * m
